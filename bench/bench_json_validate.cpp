@@ -10,8 +10,8 @@
 //  * "composim.bench.analysis/1" (BENCH_analysis.json, written by
 //    bottleneck_attribution): per-run attribution buckets nonnegative and
 //    summing to iteration wall time within 0.1%, critical-path coverage
-//    >= 95%, the jobs-1-vs-4 determinism flag, and the run-diff's
-//    compute-not-dominant flag.
+//    >= 95%, the jobs-1-vs-4 determinism flag, and a run-diff that
+//    names a dominant bucket with the compute-not-dominant flag set.
 //
 // Exit code 0 on success, 1 with a diagnostic on stderr otherwise. Used
 // by the bench_smoke and bench_analysis ctests; accepts one or more
@@ -184,6 +184,10 @@ int validateAnalysis(const Json& doc) {
   const Json* diff = doc.find("run_diff");
   if (diff == nullptr || !diff->isObject()) {
     return fail("missing run_diff section");
+  }
+  const Json* dom = diff->find("dominant_bucket");
+  if (dom == nullptr || !dom->isString() || dom->asString() == "none") {
+    return fail("run_diff.dominant_bucket missing or none (indistinguishable runs)");
   }
   const Json* nd = diff->find("compute_not_dominant");
   if (nd == nullptr || !nd->isBool() || !nd->asBool()) {

@@ -9,10 +9,10 @@
 //  2. Determinism — re-running the identical suite at --jobs 1 and
 //     --jobs 4 must produce byte-identical analysis JSON (the analyzer
 //     rides on the sweep engine's byte-identity contract).
-//  3. Run-diff attribution — diffing a flat-routing vs
-//     hierarchical-routing FalconGpus pair must attribute the wall-time
-//     delta to the fabric/comm buckets, not to compute (routing cannot
-//     change GPU math).
+//  3. Run-diff attribution — diffing BERT-L on localGPUs vs falconGPUs
+//     (the README's worked pair) must show the falcon run slower, with the
+//     delta landing in exposed_comm and not in compute (moving the GPUs
+//     behind the drawer changes the fabric, never the GPU math).
 //
 // Writes the gate results to BENCH_analysis.json (validated again by
 // bench_json_validate) and exits non-zero on any gate failure.
@@ -37,17 +37,16 @@ namespace {
 constexpr int kIterations = 8;
 constexpr double kMinCoveragePct = 95.0;
 
-core::ExperimentSpec makeSpec(const std::string& name, core::SystemConfig cfg,
-                              bool hierarchical) {
+core::ExperimentSpec makeSpec(const std::string& name, const std::string& workload,
+                              core::SystemConfig cfg) {
   core::ExperimentSpec s;
   s.name = name;
-  s.workload = "ResNet-50";
+  s.workload = workload;
   s.config = cfg;
   s.options.workload = s.workload;
   s.options.trainer.epochs = 1;
   s.options.trainer.max_iterations_per_epoch = kIterations;
   s.options.analysis = true;
-  s.options.hierarchical_routing = hierarchical;
   return s;
 }
 
@@ -92,8 +91,8 @@ int main(int argc, char** argv) {
   std::printf("attribution gates (ResNet-50 local vs falcon, %d iters):\n",
               kIterations);
   const std::vector<core::ExperimentSpec> base_suite = {
-      makeSpec("resnet-local", core::SystemConfig::LocalGpus, false),
-      makeSpec("resnet-falcon", core::SystemConfig::FalconGpus, false)};
+      makeSpec("resnet-local", "ResNet-50", core::SystemConfig::LocalGpus),
+      makeSpec("resnet-falcon", "ResNet-50", core::SystemConfig::FalconGpus)};
   const SuiteOutcome serial = runSuite(base_suite, 1);
   gate(serial.ok && serial.analyses.size() == base_suite.size(),
        "both analysis runs completed");
@@ -130,31 +129,34 @@ int main(int argc, char** argv) {
       parallel.ok && serial.dumps == parallel.dumps && !serial.dumps.empty();
   gate(identical, "analysis JSON byte-identical across jobs 1 vs 4");
 
-  // --- 3. Run-diff on a flat vs hierarchical routing pair. ---
-  std::printf("run-diff gate (falcon flat vs hierarchical routing):\n");
-  const SuiteOutcome routing = runSuite(
-      {makeSpec("falcon-flat", core::SystemConfig::FalconGpus, false),
-       makeSpec("falcon-hier", core::SystemConfig::FalconGpus, true)},
+  // --- 3. Run-diff on BERT-L local vs falcon. ---
+  std::printf("run-diff gate (BERT-L localGPUs vs falconGPUs):\n");
+  const SuiteOutcome pair = runSuite(
+      {makeSpec("bert-local", "BERT-L", core::SystemConfig::LocalGpus),
+       makeSpec("bert-falcon", "BERT-L", core::SystemConfig::FalconGpus)},
       2);
   falcon::Json diff_json = falcon::Json::object();
   bool compute_not_dominant = false;
-  if (gate(routing.ok && routing.analyses.size() == 2,
-           "both routing runs completed")) {
+  if (gate(pair.ok && pair.analyses.size() == 2, "both BERT-L runs completed")) {
     const analysis::RunDiff diff =
-        analysis::diffRuns(*routing.analyses[0], *routing.analyses[1]);
+        analysis::diffRuns(*pair.analyses[0], *pair.analyses[1]);
     std::printf("%s", analysis::report(diff).c_str());
     double compute_delta = 0.0;
     for (const auto& [bucket, delta] : diff.bucket_deltas) {
       if (bucket == "compute") compute_delta = delta;
     }
-    // Routing changes fabric paths, never GPU math: whatever wall-time
-    // delta exists must land in the comm/fabric/stall buckets. The 1e-9
-    // floor keeps the gate meaningful when the two routings happen to
-    // pick identical paths (delta ~ 0).
-    compute_not_dominant = std::abs(compute_delta) <=
-                           0.5 * std::max(std::abs(diff.wall_delta_s), 1e-9);
-    gate(compute_not_dominant,
-         "wall-time delta attributed to fabric/comm, not compute");
+    // BERT-L's gradient all-reduce crosses the drawer's host adapters on
+    // falconGPUs, so the falcon run is slower per iteration and the delta
+    // is exposed communication. The sign check fails on a swapped pair,
+    // the bucket check on indistinguishable runs (dominant bucket "none").
+    gate(diff.wall_delta_s > 0.0,
+         "falcon run slower (wall delta " + telemetry::fmt(diff.wall_delta_s, 4) +
+             " s/iter > 0)");
+    gate(diff.dominant_bucket == "exposed_comm",
+         "dominant bucket is exposed_comm (got " + diff.dominant_bucket + ")");
+    compute_not_dominant =
+        std::abs(compute_delta) <= 0.5 * std::abs(diff.wall_delta_s);
+    gate(compute_not_dominant, "wall-time delta not attributed to compute");
     diff_json = toJson(diff);
     diff_json.set("compute_delta_s", compute_delta);
     diff_json.set("compute_not_dominant", compute_not_dominant);

@@ -1,5 +1,5 @@
 # Runs bottleneck_attribution (the analysis acceptance gates: bucket
-# soundness, jobs-1-vs-4 byte identity, flat-vs-hierarchical run diff)
+# soundness, jobs-1-vs-4 byte identity, BERT-L local-vs-falcon run diff)
 # and then bench_json_validate over the BENCH_analysis.json it wrote.
 # Invoked as the bench_analysis ctest with -DCAPTURE_BIN / -DVALIDATE_BIN
 # / -DOUT_JSON.

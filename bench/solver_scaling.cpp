@@ -72,20 +72,24 @@ struct Fabric {
 
 /// A chassis is 2 drawer hubs with 4 GPUs each plus a hub-hub trunk; the
 /// chassis chain links hub1 of chassis c to hub0 of chassis c+1, with a
-/// ring-closure link once there are more than two chassis. One routing
-/// domain per chassis.
-void buildFabric(Fabric& f, int chassis, bool hierarchical) {
+/// ring-closure link once there are more than two chassis. With
+/// `domains`, each chassis is its own routing domain, so routing is
+/// hierarchical from two chassis up; without, the whole fabric is one
+/// domain and routes by flat Dijkstra.
+void buildFabric(Fabric& f, int chassis, bool domains) {
   std::vector<fabric::NodeId> hub0s, hub1s;
   for (int c = 0; c < chassis; ++c) {
-    const auto dom = static_cast<fabric::DomainId>(c);
+    const auto setDomain = [&](fabric::NodeId n) {
+      if (domains) f.topo.setNodeDomain(n, static_cast<fabric::DomainId>(c));
+    };
     const fabric::NodeId h0 =
         f.topo.addNode("ch" + std::to_string(c) + ".hub0",
                        fabric::NodeKind::PcieSwitch);
     const fabric::NodeId h1 =
         f.topo.addNode("ch" + std::to_string(c) + ".hub1",
                        fabric::NodeKind::PcieSwitch);
-    f.topo.setNodeDomain(h0, dom);
-    f.topo.setNodeDomain(h1, dom);
+    setDomain(h0);
+    setDomain(h1);
     hub0s.push_back(h0);
     hub1s.push_back(h1);
     f.topo.addDuplexLink(h0, h1, units::GBps(32), lat(2),
@@ -94,7 +98,7 @@ void buildFabric(Fabric& f, int chassis, bool hierarchical) {
       const fabric::NodeId gpu =
           f.topo.addNode("ch" + std::to_string(c) + ".gpu" + std::to_string(g),
                          fabric::NodeKind::Gpu);
-      f.topo.setNodeDomain(gpu, dom);
+      setDomain(gpu);
       f.topo.addDuplexLink(gpu, g < 4 ? h0 : h1, units::GBps(16), lat(1),
                            fabric::LinkKind::PCIe4);
       f.gpus.push_back(gpu);
@@ -109,7 +113,6 @@ void buildFabric(Fabric& f, int chassis, bool hierarchical) {
     f.topo.addDuplexLink(hub1s.back(), hub0s.front(), units::GBps(8), lat(4),
                          fabric::LinkKind::PCIe4);
   }
-  f.topo.setHierarchicalRouting(hierarchical);
 }
 
 double secondsSince(std::chrono::steady_clock::time_point t0) {
@@ -254,8 +257,8 @@ int main(int argc, char** argv) {
 
   for (const int chassis : kChassis) {
     Fabric flat, hier;
-    buildFabric(flat, chassis, /*hierarchical=*/false);
-    buildFabric(hier, chassis, /*hierarchical=*/true);
+    buildFabric(flat, chassis, /*domains=*/false);
+    buildFabric(hier, chassis, /*domains=*/true);
 
     const double flat_rps = measureRoutesPerSec(flat.topo, flat.gpus, kRouteReps);
     const double hier_rps = measureRoutesPerSec(hier.topo, hier.gpus, kRouteReps);
@@ -299,7 +302,7 @@ int main(int argc, char** argv) {
     scenarios.push(std::move(s));
 
     std::printf(
-        "chassis=%d gpus=%zu  routes/s flat=%.3g hier=%.3g (%.2fx)  "
+        "chassis=%d gpus=%zu  routes/s flat=%.3g hierarchical=%.3g (%.2fx)  "
         "setup serial=%.3gs batched=%.3gs (%.2fx)  equiv=%d bitident=%d  "
         "solves %llu -> %llu\n",
         chassis, hier.gpus.size(), flat_rps, hier_rps, hier_rps / flat_rps,

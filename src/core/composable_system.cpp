@@ -43,8 +43,7 @@ ComposableSystem::ComposableSystem(SystemConfig config) : config_(config) {
   // Routing domains mirror the physical partition: everything on the host
   // board stays in kHostDomain (the addNode default) and the whole Falcon
   // chassis — drawer chips plus installed devices — forms kFalconDomain.
-  // Assignment is unconditional; it only changes routing behaviour once a
-  // stack opts into Topology::setHierarchicalRouting.
+  // Two domains make Topology route hierarchically from the first route().
   for (std::size_t n = host_nodes; n < topo_.nodeCount(); ++n) {
     topo_.setNodeDomain(static_cast<fabric::NodeId>(n), kFalconDomain);
   }

@@ -53,8 +53,8 @@ std::vector<SystemConfig> storageConfigs();
 class ComposableSystem {
  public:
   /// Routing domains for hierarchical routing: host-board nodes (including
-  /// any second tenant host) vs the Falcon chassis. Assigned at build time;
-  /// inert until Topology::setHierarchicalRouting(true).
+  /// any second tenant host) vs the Falcon chassis. Assigned at build time,
+  /// so every route goes through the domain tables and border graph.
   static constexpr fabric::DomainId kHostDomain = 0;
   static constexpr fabric::DomainId kFalconDomain = 1;
 

@@ -35,12 +35,6 @@ struct Stack {
 
   Stack(SystemConfig cfg, const dl::ModelSpec& m, ExperimentOptions opts)
       : config(cfg), model(m), options(std::move(opts)), system(cfg) {
-    // Before the first route() call so every path — including any taken
-    // during component construction — resolves through the domain tables.
-    // The domains themselves are assigned by ComposableSystem's builder.
-    if (options.hierarchical_routing) {
-      system.topology().setHierarchicalRouting(true);
-    }
     gpus = system.trainingGpus();
 
     // Install the profiler before any component is built so

@@ -131,11 +131,6 @@ struct ExperimentOptions {
   /// off, run continuously). Only meaningful when warmPrefixApplicable()
   /// holds for the spec; see DESIGN.md §14.
   std::int64_t warm_prefix = 0;
-  /// Route via per-domain tables + the chassis border graph instead of
-  /// flat Dijkstra (Topology::setHierarchicalRouting). Latency-equivalent
-  /// but free to pick a different equal-cost path, so it is opt-in and
-  /// part of the warm-prefix compatibility key.
-  bool hierarchical_routing = false;
 };
 
 struct ExperimentResult {

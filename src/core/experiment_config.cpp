@@ -336,9 +336,6 @@ std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc) {
     if (const auto* v = e.find("watchdog")) {
       s.options.watchdog = v->asDouble();
     }
-    if (const auto* v = e.find("hierarchical_routing")) {
-      s.options.hierarchical_routing = v->asBool();
-    }
     if (const auto* v = e.find("faults")) {
       s.options.faults = parseFaultsConfig(*v);
     }
@@ -421,9 +418,6 @@ std::string warmPrefixKey(const ExperimentSpec& spec) {
       // profiler carries, so both are prefix-compatibility inputs.
       << "|analyze=" << spec.options.analysis                        //
       << "|trace_cap=" << spec.options.trace_max_records             //
-      // Hierarchical routing may pick a different equal-cost path, so a
-      // warmed prefix is only reusable under the same routing mode.
-      << "|hier=" << spec.options.hierarchical_routing               //
       << "|warm=" << spec.options.warm_prefix << "|alerts=";
   for (const std::string& rule : spec.options.metrics.alerts) {
     key << rule << ';';

@@ -88,12 +88,6 @@ void Topology::setNodeDomain(NodeId n, DomainId d) {
   ++generation_;
 }
 
-void Topology::setHierarchicalRouting(bool on) {
-  if (hierarchical_ == on) return;
-  hierarchical_ = on;
-  ++generation_;
-}
-
 NodeId Topology::findNode(const std::string& name) const {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].name == name) return static_cast<NodeId>(i);
@@ -115,7 +109,6 @@ Topology::State Topology::state() const {
   for (const Link& l : links_) st.links.push_back({l.up, l.counters});
   st.generation = generation_;
   st.domains = domain_of_;
-  st.hierarchical = hierarchical_;
   return st;
 }
 
@@ -125,10 +118,10 @@ void Topology::restoreState(const State& st) {
         "Topology::restoreState: link count mismatch (snapshot taken from a "
         "differently built topology)");
   }
-  if (st.domains != domain_of_ || st.hierarchical != hierarchical_) {
-    // Domains and the hierarchical flag are build-time structure: the fork
-    // rebuilds them from the same configuration, so a divergence means the
-    // snapshot came from a differently configured topology.
+  if (st.domains != domain_of_) {
+    // Domains are build-time structure: the fork rebuilds them from the
+    // same configuration, so a divergence means the snapshot came from a
+    // differently configured topology.
     throw std::logic_error(
         "Topology::restoreState: routing-domain configuration mismatch "
         "(snapshot taken from a differently configured topology)");
@@ -280,11 +273,8 @@ std::optional<Route> Topology::routeFlat(NodeId src, NodeId dst) const {
 }
 
 std::optional<Route> Topology::computeRoute(NodeId src, NodeId dst) const {
-  if (hierarchical_) {
-    ensureHierarchy();
-    if (hier_active_) return computeHierarchical(src, dst);
-  }
-  return computeFlat(src, dst);
+  ensureHierarchy();
+  return hier_active_ ? computeHierarchical(src, dst) : computeFlat(src, dst);
 }
 
 const std::optional<Route>& Topology::routeCached(NodeId src, NodeId dst) const {
@@ -314,7 +304,6 @@ std::optional<Route> Topology::route(NodeId src, NodeId dst) const {
 void Topology::ensureHierarchy() const {
   if (hier_generation_ == generation_) return;
   hier_generation_ = generation_;
-  ++hier_builds_;
 
   hier_active_ = false;
   DomainId max_dom = 0;
@@ -322,7 +311,8 @@ void Topology::ensureHierarchy() const {
     max_dom = std::max(max_dom, domain_of_[i]);
     if (domain_of_[i] != domain_of_[0]) hier_active_ = true;
   }
-  if (!hier_active_) return;  // a single domain degenerates to flat Dijkstra
+  if (!hier_active_) return;  // a single domain routes by flat Dijkstra
+  ++hier_builds_;
 
   const auto ndom = static_cast<std::size_t>(max_dom) + 1;
   hier_members_.assign(ndom, {});

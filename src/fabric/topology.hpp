@@ -7,12 +7,12 @@
 // dynamic attach/detach (the composable part) recomputes paths lazily.
 //
 // At multi-chassis scale a full-graph Dijkstra per (src, dst) pair is the
-// hot path, so routing is optionally *hierarchical*: nodes are partitioned
-// into routing domains (chassis / host groups, setNodeDomain), and a route
-// becomes intra-domain table lookups plus a search over a small
-// domain-border graph instead of a whole-graph shortest path. The flat
-// Dijkstra remains as the oracle (routeFlat) for equivalence testing; see
-// DESIGN.md §2.1.
+// hot path, so routing is *hierarchical* whenever nodes are partitioned
+// into two or more routing domains (chassis / host groups, setNodeDomain):
+// a route becomes intra-domain table lookups plus a search over a small
+// domain-border graph instead of a whole-graph shortest path. A
+// single-domain topology routes by flat Dijkstra, which also remains the
+// oracle (routeFlat) for equivalence testing; see DESIGN.md §2.1.
 #pragma once
 
 #include <atomic>
@@ -121,21 +121,14 @@ class Topology {
   NodeId findNode(const std::string& name) const;
 
   /// Assign `n` to a routing domain (chassis / host group). Nodes default
-  /// to kDefaultDomain; domains only matter once hierarchical routing is
-  /// enabled. Invalidates cached routes and tables.
+  /// to kDefaultDomain. Once at least two distinct domains exist, routes
+  /// go through domain tables + a border graph instead of a full-graph
+  /// Dijkstra: latency-equivalent to the flat oracle (equal cost, possibly
+  /// a different equal-cost path). Invalidates cached routes and tables.
   void setNodeDomain(NodeId n, DomainId d);
   DomainId nodeDomain(NodeId n) const {
     return domain_of_.at(static_cast<std::size_t>(n));
   }
-
-  /// Route via domain tables + border graph instead of a full-graph
-  /// Dijkstra. A no-op until at least two distinct domains are assigned.
-  /// Hierarchical routes are latency-equivalent to the flat oracle (equal
-  /// cost, possibly a different equal-cost path), so flipping this knob
-  /// can legitimately change which of several tied paths a flow takes —
-  /// it is therefore opt-in per stack, never flipped implicitly.
-  void setHierarchicalRouting(bool on);
-  bool hierarchicalRouting() const { return hierarchical_; }
 
   /// Drop cached routes and hierarchy tables without touching links (bench
   /// hook: re-measure route computation against a warm topology).
@@ -184,7 +177,7 @@ class Topology {
   std::uint64_t generation() const { return generation_; }
 
   /// Dynamic-state snapshot: per-link up flags and counters, the mutation
-  /// generation, and the routing-domain assignment + hierarchical flag.
+  /// generation, and the routing-domain assignment.
   /// The graph structure (nodes, links, adjacency) is NOT captured — a
   /// fork rebuilds it from the same configuration and restoreState()
   /// refuses a structure mismatch (link count or domain-assignment
@@ -201,7 +194,6 @@ class Topology {
     std::vector<LinkState> links;
     std::uint64_t generation = 0;
     std::vector<DomainId> domains;
-    bool hierarchical = false;
   };
 
   State state() const;
@@ -232,7 +224,6 @@ class Topology {
   std::vector<std::vector<LinkId>> adjacency_;  // per node: outgoing links
   std::vector<std::vector<LinkId>> reverse_adjacency_;  // per node: incoming
   std::vector<DomainId> domain_of_;  // per node: routing domain
-  bool hierarchical_ = false;
   std::uint64_t generation_ = 0;
 
   mutable std::uint64_t cache_generation_ = ~0ULL;

@@ -1,7 +1,5 @@
 #include "telemetry/sampler.hpp"
 
-#include <stdexcept>
-
 namespace composim::telemetry {
 
 double RateProbe::operator()() {
@@ -20,58 +18,6 @@ double RateProbe::operator()() {
   last_time_ = now;
   primed_ = true;
   return last_rate_;
-}
-
-void MetricsSampler::addProbe(const std::string& name, Probe probe) {
-  if (series_.count(name) > 0) {
-    throw std::invalid_argument("MetricsSampler: duplicate probe '" + name + "'");
-  }
-  series_.emplace(name, std::make_unique<TimeSeries>(name));
-  probes_.emplace_back(name, std::move(probe));
-}
-
-void MetricsSampler::addRateProbe(const std::string& name,
-                                  Probe cumulativeCounter, double scale) {
-  auto rp = std::make_shared<RateProbe>(sim_, std::move(cumulativeCounter), scale);
-  rate_probes_.push_back(rp);
-  addProbe(name, [rp]() { return (*rp)(); });
-}
-
-void MetricsSampler::start() {
-  if (running_) return;
-  running_ = true;
-  sampleOnce();  // prime rate probes at t0
-  tick();
-}
-
-void MetricsSampler::tick() {
-  sim_.schedule(interval_, [this] {
-    if (!running_) return;
-    sampleOnce();
-    tick();
-  });
-}
-
-void MetricsSampler::sampleOnce() {
-  const SimTime now = sim_.now();
-  for (auto& [name, probe] : probes_) {
-    series_.at(name)->push(now, probe());
-  }
-}
-
-const TimeSeries& MetricsSampler::series(const std::string& name) const {
-  auto it = series_.find(name);
-  if (it == series_.end()) {
-    throw std::out_of_range("MetricsSampler: no series '" + name + "'");
-  }
-  return *it->second;
-}
-
-std::vector<std::string> MetricsSampler::seriesNames() const {
-  std::vector<std::string> names;
-  names.reserve(series_.size());
-  for (const auto& [name, s] : series_) names.push_back(name);
-  return names;
 }
 
 }  // namespace composim::telemetry

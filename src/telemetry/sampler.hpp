@@ -1,20 +1,16 @@
-// composim: periodic metric sampling (the wandb/Nsight stand-in).
+// composim: rate probes for periodic metric sampling.
 //
-// Probes are callables returning an instantaneous value; the sampler polls
-// them on a fixed simulated-time interval into named TimeSeries. Rate-style
+// Probes are callables returning an instantaneous value. Rate-style
 // metrics (GPU utilization %, PCIe GB/s) are best expressed as *cumulative*
 // probes sampled through a RateProbe, which differentiates between polls —
-// exactly how nvidia-smi computes utilization over its sample window.
+// exactly how nvidia-smi computes utilization over its sample window. The
+// collectors (collectors.hpp) wrap RateProbes into MetricsRegistry
+// instruments that the MetricsScraper polls on a fixed interval.
 #pragma once
 
 #include <functional>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "sim/simulator.hpp"
-#include "telemetry/time_series.hpp"
 
 namespace composim::telemetry {
 
@@ -23,7 +19,7 @@ using Probe = std::function<double()>;
 /// Converts a cumulative counter probe into a per-interval rate:
 /// sample_i = (counter_i - counter_{i-1}) / (t_i - t_{i-1}) * scale.
 /// A zero-length interval (two polls at the same simulated instant, e.g. a
-/// final sampleOnce() landing on a scheduled tick) cannot be differentiated;
+/// final scrape landing on a scheduled tick) cannot be differentiated;
 /// the probe holds the previous rate instead of dividing by zero.
 class RateProbe {
  public:
@@ -59,41 +55,6 @@ class RateProbe {
   double last_rate_ = 0.0;
   SimTime last_time_ = 0.0;
   bool primed_ = false;
-};
-
-class MetricsSampler {
- public:
-  MetricsSampler(Simulator& sim, SimTime interval)
-      : sim_(sim), interval_(interval) {}
-
-  MetricsSampler(const MetricsSampler&) = delete;
-  MetricsSampler& operator=(const MetricsSampler&) = delete;
-
-  /// Register an instantaneous probe under `name`.
-  void addProbe(const std::string& name, Probe probe);
-
-  /// Register a cumulative-counter probe sampled as a rate.
-  void addRateProbe(const std::string& name, Probe cumulativeCounter,
-                    double scale = 1.0);
-
-  void start();
-  void stop() { running_ = false; }
-  bool running() const { return running_; }
-  void sampleOnce();
-
-  const TimeSeries& series(const std::string& name) const;
-  bool hasSeries(const std::string& name) const { return series_.count(name) > 0; }
-  std::vector<std::string> seriesNames() const;
-
- private:
-  void tick();
-
-  Simulator& sim_;
-  SimTime interval_;
-  bool running_ = false;
-  std::vector<std::pair<std::string, Probe>> probes_;
-  std::map<std::string, std::unique_ptr<TimeSeries>> series_;
-  std::vector<std::shared_ptr<RateProbe>> rate_probes_;  // keep-alive
 };
 
 }  // namespace composim::telemetry

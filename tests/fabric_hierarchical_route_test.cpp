@@ -1,9 +1,10 @@
-// Hierarchical-vs-flat routing equivalence: route() with domain tables
-// enabled must match the flat-Dijkstra oracle (routeFlat) in reachability
-// and total latency on every pair, including after link failures and on
-// paths that detour out of and back into a domain. Link latencies are
-// exact binary fractions (k / 2^20 seconds) so equal-cost paths sum
-// bitwise-identically and the comparisons below can demand exact equality.
+// Hierarchical-vs-flat routing equivalence: route() on a topology with two
+// or more domains goes through the domain tables and must match the
+// flat-Dijkstra oracle (routeFlat) in reachability and total latency on
+// every pair, including after link failures and on paths that detour out
+// of and back into a domain. Link latencies are exact binary fractions
+// (k / 2^20 seconds) so equal-cost paths sum bitwise-identically and the
+// comparisons below can demand exact equality.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -83,7 +84,6 @@ TEST(HierarchicalRoute, TwoDomainChassisPair) {
   t.addDuplexLink(h0, h1, 2e9, lat(10), LinkKind::HostAdapter);
   t.setNodeDomain(h1, 1);
   for (NodeId b : leaves1) t.setNodeDomain(b, 1);
-  t.setHierarchicalRouting(true);
 
   expectEquivalent(t);
   // Cross-domain path runs leaf -> hub -> hub -> leaf.
@@ -104,7 +104,6 @@ TEST(HierarchicalRoute, SameDomainDetourThroughOtherDomain) {
   const auto [xy, yx] = t.addDuplexLink(x, y, 1e9, lat(1), LinkKind::NVLink);
   t.addDuplexLink(x, m, 1e9, lat(5), LinkKind::PCIe4);
   t.addDuplexLink(m, y, 1e9, lat(7), LinkKind::PCIe4);
-  t.setHierarchicalRouting(true);
 
   expectEquivalent(t);
   t.setLinkUp(xy, false);
@@ -123,7 +122,7 @@ TEST(HierarchicalRoute, SingleDomainFallsBackToFlatPaths) {
   const NodeId c = t.addNode("c", NodeKind::Gpu);
   t.addDuplexLink(a, b, 1e9, lat(1), LinkKind::NVLink);
   t.addDuplexLink(b, c, 1e9, lat(1), LinkKind::NVLink);
-  t.setHierarchicalRouting(true);  // no second domain: degenerates to flat
+  // No second domain: routing stays on the flat path.
   const auto hier = t.route(a, c);
   const auto flat = t.routeFlat(a, c);
   ASSERT_TRUE(hier.has_value());
@@ -136,7 +135,6 @@ TEST(HierarchicalRoute, UnreachableCrossDomainMatchesOracle) {
   const NodeId b = t.addNode("b", NodeKind::Gpu);
   t.setNodeDomain(b, 1);
   const auto [ab, ba] = t.addDuplexLink(a, b, 1e9, lat(1), LinkKind::PCIe4);
-  t.setHierarchicalRouting(true);
   EXPECT_TRUE(t.route(a, b).has_value());
   t.setLinkUp(ab, false);
   t.setLinkUp(ba, false);
@@ -151,13 +149,11 @@ TEST(HierarchicalRoute, SnapshotRoundTripsDomainsAndDropsTables) {
   const NodeId b = t.addNode("b", NodeKind::Gpu);
   t.setNodeDomain(b, 1);
   t.addDuplexLink(a, b, 1e9, lat(3), LinkKind::PCIe4);
-  t.setHierarchicalRouting(true);
   ASSERT_TRUE(t.route(a, b).has_value());
   const auto before_builds = t.hierarchyBuilds();
   const auto st = t.state();
   EXPECT_EQ(st.domains.size(), t.nodeCount());
   EXPECT_EQ(st.domains[1], 1);
-  EXPECT_TRUE(st.hierarchical);
   t.restoreState(st);
   // Tables were dropped; the next route rebuilds them lazily.
   ASSERT_TRUE(t.route(a, b).has_value());
@@ -172,9 +168,6 @@ TEST(HierarchicalRoute, RestoreRejectsDomainMismatch) {
   auto st = t.state();
   st.domains[1] = 2;  // snapshot from a differently configured topology
   EXPECT_THROW(t.restoreState(st), std::logic_error);
-  st.domains[1] = 1;
-  st.hierarchical = true;  // flag mismatch is structural too
-  EXPECT_THROW(t.restoreState(st), std::logic_error);
 }
 
 TEST(HierarchicalRoute, HierarchyRebuildsOnlyOnTopologyChange) {
@@ -183,7 +176,6 @@ TEST(HierarchicalRoute, HierarchyRebuildsOnlyOnTopologyChange) {
   const NodeId b = t.addNode("b", NodeKind::Gpu);
   t.setNodeDomain(b, 1);
   t.addDuplexLink(a, b, 1e9, lat(3), LinkKind::PCIe4);
-  t.setHierarchicalRouting(true);
   ASSERT_TRUE(t.route(a, b).has_value());
   const auto builds = t.hierarchyBuilds();
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(t.route(a, b).has_value());
@@ -248,7 +240,6 @@ TEST_P(RandomizedEquivalence, MatchesFlatOracleIncludingDownLinks) {
     connect(a[static_cast<std::size_t>(rng.range(0, static_cast<int>(a.size()) - 1))],
             b[static_cast<std::size_t>(rng.range(0, static_cast<int>(b.size()) - 1))]);
   }
-  t.setHierarchicalRouting(true);
 
   expectEquivalent(t);
   // Knock out ~20% of links (possibly disconnecting domains) and re-check.

@@ -1,4 +1,4 @@
-// Unit tests for the discrete-event kernel, RNG streams, units and trace.
+// Unit tests for the discrete-event kernel, RNG streams and units.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -6,7 +6,6 @@
 
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "sim/units.hpp"
 
 namespace composim {
@@ -267,24 +266,6 @@ TEST(Units, Formatting) {
   EXPECT_EQ(formatTime(units::microseconds(1.85)), "1.85 us");
   EXPECT_EQ(formatTime(0.127), "127.00 ms");
   EXPECT_EQ(formatTime(300.0), "5.0 min");
-}
-
-TEST(TraceLog, RecordsOnlyEnabledCategories) {
-  TraceLog log;
-  log.enable("fabric");
-  log.record(1.0, "fabric", "link up");
-  log.record(2.0, "dl", "ignored");
-  ASSERT_EQ(log.records().size(), 1u);
-  EXPECT_EQ(log.records()[0].message, "link up");
-}
-
-TEST(TraceLog, EnableAllRecordsEverything) {
-  TraceLog log;
-  log.enableAll(true);
-  log.record(1.0, "a", "x");
-  log.record(2.0, "b", "y");
-  EXPECT_EQ(log.records().size(), 2u);
-  EXPECT_EQ(log.byCategory("b").size(), 1u);
 }
 
 // Property sweep: a batch of events with random times executes in

@@ -1,4 +1,4 @@
-// Tests for time series, samplers and the reporting helpers.
+// Tests for time series, rate probes and the reporting helpers.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -73,11 +73,15 @@ TEST(RateProbe, DifferentiatesCumulativeCounter) {
   Simulator sim;
   double counter = 0.0;
   RateProbe probe(sim, [&] { return counter; }, 1.0);
+  // Busy seconds advancing 0.5 per second, scaled to a utilization %.
+  RateProbe util(sim, [&sim] { return 0.5 * sim.now(); }, 100.0);
   EXPECT_DOUBLE_EQ(probe(), 0.0);  // priming sample
+  EXPECT_DOUBLE_EQ(util(), 0.0);
   counter = 50.0;
   sim.schedule(5.0, [] {});
   sim.run();
   EXPECT_DOUBLE_EQ(probe(), 10.0);  // 50 units over 5 s
+  EXPECT_NEAR(util(), 50.0, 1e-9);
 }
 
 TEST(RateProbe, ZeroIntervalSampleHoldsPreviousRate) {
@@ -99,50 +103,6 @@ TEST(RateProbe, ZeroIntervalSampleHoldsPreviousRate) {
   sim.run();
   // The zero-interval sample did not consume the 80-unit delta.
   EXPECT_DOUBLE_EQ(probe(), 40.0);
-}
-
-TEST(MetricsSampler, CollectsAtInterval) {
-  Simulator sim;
-  MetricsSampler sampler(sim, 1.0);
-  double v = 0.0;
-  sampler.addProbe("v", [&] { return v; });
-  sampler.start();
-  sim.schedule(3.5, [&sampler] { sampler.stop(); });
-  // Keep the clock moving past the sampler ticks.
-  sim.run();
-  // Samples at t=0 (priming), 1, 2, 3.
-  EXPECT_EQ(sampler.series("v").size(), 4u);
-  EXPECT_THROW(sampler.series("nope"), std::out_of_range);
-  EXPECT_THROW(sampler.addProbe("v", [] { return 0.0; }), std::invalid_argument);
-  EXPECT_EQ(sampler.seriesNames().size(), 1u);
-}
-
-TEST(MetricsSampler, BackToBackSampleOnceHoldsRate) {
-  Simulator sim;
-  MetricsSampler sampler(sim, 1.0);
-  double counter = 0.0;
-  sampler.addRateProbe("r", [&] { return counter; });
-  sampler.sampleOnce();  // priming at t=0
-  counter = 5.0;
-  sampler.sampleOnce();  // same instant: zero interval
-  const auto& s = sampler.series("r");
-  ASSERT_EQ(s.size(), 2u);
-  EXPECT_DOUBLE_EQ(s.valueAt(1), 0.0);  // held previous rate, not inf/NaN
-  sim.schedule(1.0, [&sampler] { sampler.sampleOnce(); });
-  sim.run();
-  // The delta observed during the zero-interval poll was not consumed.
-  EXPECT_DOUBLE_EQ(sampler.series("r").last(), 5.0);
-}
-
-TEST(MetricsSampler, RateProbeScalesToPercent) {
-  Simulator sim;
-  MetricsSampler sampler(sim, 1.0);
-  // Counter advancing 0.5 "busy seconds" per second = 50%.
-  sampler.addRateProbe("util", [&sim] { return 0.5 * sim.now(); }, 100.0);
-  sampler.start();
-  sim.schedule(3.5, [&sampler] { sampler.stop(); });
-  sim.run();
-  EXPECT_NEAR(sampler.series("util").last(), 50.0, 1e-9);
 }
 
 TEST(Table, RendersAlignedColumns) {
