@@ -6,7 +6,8 @@
 //    perf gates track, and a solver_scaling section with a strictly
 //    growing chassis sweep whose routing/batching invariants held (routes
 //    equivalent to the flat oracle, batched arrivals bit-identical and no
-//    slower than serial, steady-state routing allocation-free).
+//    slower than serial, steady-state routing allocation-free, and the
+//    warmed ring all-reduce at most 2.5 heap allocations per flow).
 //  * "composim.bench.analysis/1" (BENCH_analysis.json, written by
 //    bottleneck_attribution): per-run attribution buckets nonnegative and
 //    summing to iteration wall time within 0.1%, critical-path coverage
@@ -77,6 +78,13 @@ int validateSimcore(const Json& doc) {
   const Json* allocs = scaling->find("route_steady_allocs");
   if (allocs == nullptr || !allocs->isNumber() || allocs->asDouble() != 0.0) {
     return fail("route_steady_allocs missing or non-zero");
+  }
+  constexpr double kMaxRingAllocsPerFlow = 2.5;
+  const Json* ring_allocs = scaling->find("ring_allocs_per_flow");
+  if (ring_allocs == nullptr || !ring_allocs->isNumber() ||
+      !(ring_allocs->asDouble() > 0.0 &&
+        ring_allocs->asDouble() <= kMaxRingAllocsPerFlow)) {
+    return fail("ring_allocs_per_flow missing, non-positive or above 2.5");
   }
   const Json* scenarios = scaling->find("scenarios");
   if (scenarios == nullptr || !scenarios->isArray() ||

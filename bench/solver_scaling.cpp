@@ -12,14 +12,18 @@
 //     bit-identity check on every post-arrival rate and every completion
 //     (bytes + end time) between the two admission orders;
 //   - steady-state allocation count of warmed routeCached() hits via a
-//     counting global operator new (must be zero).
+//     counting global operator new (must be zero);
+//   - heap allocations per fabric flow over a second, warmed 256 MiB ring
+//     all-reduce on the 8-GPU hybrid cube mesh (224 flows), the
+//     collective chunk hot path (must be <= 2.5).
 //
 // Results are appended as a "solver_scaling" section to an existing
 // BENCH_simcore.json (written by micro_simcore); bench_json_validate
 // checks the section's shape. The binary itself is the hard acceptance
 // gate: it exits 1 when route equivalence or batched bit-identity fails,
-// when steady-state routing allocates, or when the batched setup speedup
-// at the largest (8-chassis, 64-flow) scenario is below 5x.
+// when steady-state routing allocates, when the ring all-reduce makes more
+// than 2.5 allocations per flow, or when the batched setup speedup at the
+// largest (8-chassis, 64-flow) scenario is below 5x.
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -33,6 +37,7 @@
 
 #include "collectives/communicator.hpp"
 #include "fabric/flow_network.hpp"
+#include "fabric/nvlink_mesh.hpp"
 #include "falcon/json.hpp"
 #include "sim/units.hpp"
 
@@ -238,6 +243,39 @@ std::size_t steadyStateAllocs(fabric::Topology& topo,
   return g_alloc_count;
 }
 
+/// Heap allocations per fabric flow over a warmed 256 MiB ring all-reduce
+/// on the 8-GPU hybrid cube mesh. The first all-reduce warms the route
+/// cache and grows every reusable store (event slots, flow slots, the
+/// delivery pool, the flow-id index); the second is counted, so what
+/// remains is what each chunk flow still pays: its callback closure, plus
+/// per-step bookkeeping spread over the step's flows.
+double ringAllocsPerFlow() {
+  Simulator sim;
+  fabric::Topology topo;
+  fabric::FlowNetwork net(sim, topo);
+  std::vector<fabric::NodeId> gpus;
+  for (int i = 0; i < 8; ++i) {
+    gpus.push_back(topo.addNode("g" + std::to_string(i), fabric::NodeKind::Gpu));
+  }
+  fabric::buildHybridCubeMesh(topo, gpus);
+  collectives::Communicator comm(sim, net, topo, gpus);
+  const auto ignore = [](const collectives::CollectiveResult&) {};
+  comm.allReduce(units::MiB(256), ignore);
+  sim.run();
+  const std::uint64_t flows_before = net.flowsStarted();
+  g_alloc_count = 0;
+  g_count_allocs = true;
+  comm.allReduce(units::MiB(256), ignore);
+  sim.run();
+  g_count_allocs = false;
+  const std::uint64_t flows = net.flowsStarted() - flows_before;
+  std::printf("ring all-reduce: %zu allocations over %llu flows\n",
+              g_alloc_count, static_cast<unsigned long long>(flows));
+  return flows == 0 ? std::numeric_limits<double>::infinity()
+                    : static_cast<double>(g_alloc_count) /
+                          static_cast<double>(flows);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -248,6 +286,7 @@ int main(int argc, char** argv) {
 
   constexpr int kRouteReps = 20;
   constexpr int kSetupReps = 30;
+  constexpr double kMaxRingAllocsPerFlow = 2.5;
   const std::vector<int> kChassis = {1, 2, 4, 8};
 
   Json scenarios = Json::array();
@@ -328,6 +367,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "solver_scaling: warmed routeCached() allocated\n");
     ok = false;
   }
+  const double ring_allocs_per_flow = ringAllocsPerFlow();
+  std::printf("ring all-reduce allocations per flow: %.2f\n",
+              ring_allocs_per_flow);
+  if (!(ring_allocs_per_flow <= kMaxRingAllocsPerFlow)) {
+    std::fprintf(stderr,
+                 "solver_scaling: ring all-reduce makes %.2f allocations per "
+                 "flow, above the %.1f gate\n",
+                 ring_allocs_per_flow, kMaxRingAllocsPerFlow);
+    ok = false;
+  }
   if (largest_speedup < 5.0) {
     std::fprintf(stderr,
                  "solver_scaling: batched setup speedup %.2fx at 8 chassis "
@@ -355,6 +404,7 @@ int main(int argc, char** argv) {
   Json section = Json::object();
   section.set("scenarios", scenarios);
   section.set("route_steady_allocs", static_cast<std::int64_t>(steady_allocs));
+  section.set("ring_allocs_per_flow", ring_allocs_per_flow);
   doc.set("solver_scaling", std::move(section));
   std::ofstream outf(argv[1]);
   outf << doc.dump(2) << "\n";

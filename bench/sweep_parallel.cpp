@@ -6,10 +6,14 @@
 //   (a) equivalence: serial and parallel runs produce byte-identical
 //       RunTracker manifests AND byte-identical Chrome trace exports
 //       (hard gate, exit nonzero on any divergence);
-//   (b) speed: the parallel replay is >= 3x faster wall-clock on a
-//       >= 4-core host (the gate is recorded as "skipped" on smaller
-//       hosts, where the speedup is physically unobtainable, instead of
-//       failing the suite).
+//   (b) speed: the parallel replay is >= 3x faster wall-clock on a host
+//       that delivers the parallelism. A core count does not show that (a
+//       shared or throttled host can report 4 hardware threads and run
+//       them on about one core), so the gate is conditioned on a measured
+//       probe: the same CPU burn timed on one thread and on four at once,
+//       taken before and after the timed sweeps. It is enforced when both
+//       probes read >= 3.5, and otherwise recorded as skipped with the
+//       measured value; the bar itself never moves.
 //
 // The suite is eight equal-cost specs (same benchmark/config, distinct
 // names) so a 4-worker replay has a balanced 2-runs-per-worker schedule
@@ -24,11 +28,14 @@
 //       each other;
 //   (e) speed: the forked replay is >= 2x faster than the cold replay
 //       (serial arms, so the ratio measures prefix reuse rather than
-//       scheduling; enforced on >= 4-core hosts, recorded as "skipped"
-//       elsewhere where timing is too noisy to gate).
+//       scheduling; enforced under the same parallelism probe as (b),
+//       recorded as skipped elsewhere, where timing is too noisy to gate).
 //
 //   $ ./bench/sweep_parallel [BENCH_sweep.json]
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -54,6 +61,49 @@ void check(bool ok, const char* what) {
 
 constexpr int kSuiteSize = 8;
 constexpr int kParallelJobs = 4;
+// The speed gates need the host to deliver at least this many cores'
+// worth of parallel CPU time while they are measured.
+constexpr double kMinEffectiveParallelism = 3.5;
+
+std::atomic<std::uint64_t> g_burn_sink{0};
+
+/// Fixed CPU burn (register-only xorshift, no memory traffic).
+void burn() {
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 60'000'000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  g_burn_sink.fetch_add(x, std::memory_order_relaxed);
+}
+
+double wallSeconds(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Effective parallelism the host delivers right now: kParallelJobs times
+/// the burn's single-thread wall time over the wall time of kParallelJobs
+/// concurrent burns. About 4 on an idle 4-core host, about 1 on a host
+/// that runs every thread on one core.
+double effectiveParallelism() {
+  auto t0 = std::chrono::steady_clock::now();
+  burn();
+  const double one = wallSeconds(t0);
+  t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kParallelJobs; ++i) threads.emplace_back(burn);
+  for (auto& t : threads) t.join();
+  const double many = wallSeconds(t0);
+  return many > 0.0 ? kParallelJobs * one / many : 0.0;
+}
+
+std::string formatParallelism(double p) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.2f", p);
+  return buf;
+}
 
 std::vector<core::ExperimentSpec> buildSuite() {
   std::vector<core::ExperimentSpec> specs;
@@ -207,6 +257,9 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(serial_dir);
   std::filesystem::create_directories(parallel_dir);
 
+  const double probe_before = effectiveParallelism();
+  std::printf("effective parallelism before the timed sweeps: %.2f\n",
+              probe_before);
   std::printf("replaying %d specs serially (--jobs 1)...\n", kSuiteSize);
   const auto serial = replay(1, serial_dir);
   std::printf("replaying %d specs in parallel (--jobs %d)...\n", kSuiteSize,
@@ -217,7 +270,6 @@ int main(int argc, char** argv) {
       parallel.wall_seconds > 0.0 ? serial.wall_seconds / parallel.wall_seconds
                                   : 0.0;
   const unsigned hw = std::thread::hardware_concurrency();
-  const bool enough_cores = hw >= static_cast<unsigned>(kParallelJobs);
 
   std::printf("\nserial   : %.3f s wall\n", serial.wall_seconds);
   std::printf("parallel : %.3f s wall (%u hardware threads)\n",
@@ -230,14 +282,6 @@ int main(int argc, char** argv) {
   check(serial.traces.size() == static_cast<std::size_t>(kSuiteSize) &&
             parallel.traces == serial.traces,
         "Chrome trace exports are byte-identical");
-  if (enough_cores) {
-    check(speedup >= 3.0, "parallel replay >= 3x faster at --jobs 4");
-  } else {
-    std::printf("  [SKIP] speedup gate (%u hardware thread(s) < %d; a "
-                "parallel speedup is physically unobtainable here)\n",
-                hw, kParallelJobs);
-  }
-
   std::printf("\nreplaying warmup-heavy fork suite (%d variants, %d-iteration "
               "shared prefix)...\n",
               kSuiteSize, kWarmPrefix);
@@ -259,6 +303,23 @@ int main(int argc, char** argv) {
   std::printf("fork shared : %.3f s wall\n", fork_serial.wall_seconds);
   std::printf("fork speedup: %.2fx\n\n", fork_speedup);
 
+  const double probe_after = effectiveParallelism();
+  std::printf("effective parallelism after the timed sweeps: %.2f\n\n",
+              probe_after);
+  const double probe_min = std::min(probe_before, probe_after);
+  const bool parallel_host = probe_min >= kMinEffectiveParallelism;
+  const std::string gate_state =
+      parallel_host ? "enforced"
+                    : "skipped: effective parallelism " +
+                          formatParallelism(probe_min) + " < 3.5";
+
+  if (parallel_host) {
+    check(speedup >= 3.0, "parallel replay >= 3x faster at --jobs 4");
+  } else {
+    std::printf("  [SKIP] speedup gate (effective parallelism %.2f < %.1f "
+                "measured on this host; %.2fx not judged)\n",
+                probe_min, kMinEffectiveParallelism, speedup);
+  }
   check(fork_cold.all_ok && fork_serial.all_ok && fork_again.all_ok &&
             fork_parallel.all_ok,
         "all fork-suite runs completed");
@@ -270,13 +331,13 @@ int main(int argc, char** argv) {
   check(fork_serial == fork_again,
         "snapshot round-trip is deterministic (two forked replays "
         "byte-identical)");
-  if (enough_cores) {
+  if (parallel_host) {
     check(fork_speedup >= 2.0,
           "forked replay >= 2x faster than cold on warmup-heavy suite");
   } else {
-    std::printf("  [SKIP] fork speedup gate (%u hardware thread(s) < %d; "
-                "timing too noisy to gate on this host)\n",
-                hw, kParallelJobs);
+    std::printf("  [SKIP] fork speedup gate (effective parallelism %.2f < "
+                "%.1f measured on this host; %.2fx not judged)\n",
+                probe_min, kMinEffectiveParallelism, fork_speedup);
   }
 
   auto doc = falcon::Json::object();
@@ -289,7 +350,9 @@ int main(int argc, char** argv) {
   doc.set("byte_identical", serial.manifest == parallel.manifest &&
                                 parallel.traces == serial.traces);
   doc.set("hardware_concurrency", static_cast<std::int64_t>(hw));
-  doc.set("speedup_gate", enough_cores ? "enforced" : "skipped: <4 cores");
+  doc.set("parallelism_probe_before", probe_before);
+  doc.set("parallelism_probe_after", probe_after);
+  doc.set("speedup_gate", gate_state);
   doc.set("fork_suite_size", static_cast<std::int64_t>(kSuiteSize));
   doc.set("fork_warm_prefix", static_cast<std::int64_t>(kWarmPrefix));
   doc.set("fork_cold_seconds", fork_cold.wall_seconds);
@@ -299,8 +362,7 @@ int main(int argc, char** argv) {
   doc.set("fork_byte_identical",
           fork_cold == fork_serial && fork_cold == fork_parallel);
   doc.set("fork_roundtrip_deterministic", fork_serial == fork_again);
-  doc.set("fork_speedup_gate",
-          enough_cores ? "enforced" : "skipped: <4 cores");
+  doc.set("fork_speedup_gate", gate_state);
   std::ofstream out(out_path);
   out << doc.dump(2) << "\n";
   const bool wrote = out.good();

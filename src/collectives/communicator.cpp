@@ -183,6 +183,10 @@ void Communicator::opFinished() {
 void Communicator::sendChunks(std::shared_ptr<Op> op,
                               const std::vector<std::pair<int, int>>& pairs,
                               Bytes bytes, std::function<void()> eachDone) {
+  // One callback per wave, shared by its flows: copying the closure into
+  // every request would allocate it (and bump its captures) per flow.
+  const auto wave_done =
+      std::make_shared<const std::function<void()>>(std::move(eachDone));
   std::vector<fabric::FlowRequest> requests;
   requests.reserve(pairs.size());
   for (const auto& [fromRank, toRank] : pairs) {
@@ -193,7 +197,7 @@ void Communicator::sendChunks(std::shared_ptr<Op> op,
     rq.src = src;
     rq.dst = dst;
     rq.bytes = bytes;
-    rq.done = [cb = eachDone](const fabric::FlowResult&) { cb(); };
+    rq.done = [wave_done](const fabric::FlowResult&) { (*wave_done)(); };
     rq.options.maxRate = protocolRate(src, dst);
     rq.options.extraLatency = fabric::catalog::dmaEndpointOverhead();
     rq.options.tag = "nccl";
@@ -214,13 +218,19 @@ void Communicator::runRing(std::shared_ptr<Op> op,
   }
   // One step: every member forwards a chunk to its ring successor; the
   // step completes when the slowest transfer lands (NCCL's pipeline is
-  // modelled at chunk granularity).
+  // modelled at chunk granularity). Every step uses the same ring edges.
+  std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    pairs.emplace_back(members[static_cast<std::size_t>(i)],
+                       members[static_cast<std::size_t>((i + 1) % n)]);
+  }
   // The step closure must not own itself (a shared_ptr cycle would leak
   // every op abandoned mid-flight, e.g. a communicator retired by fault
   // recovery): it holds a weak self-reference, and each in-flight
   // continuation keeps it alive by capturing the locked pointer.
   auto step = std::make_shared<std::function<void(int)>>();
-  *step = [this, op, members, chunkBytes, steps_total, done, n,
+  *step = [this, op, pairs = std::move(pairs), chunkBytes, steps_total, done, n,
            weak_step = std::weak_ptr<std::function<void(int)>>(step)](int s) {
     if (s == steps_total) {
       sim_.schedule(0.0, done);
@@ -228,12 +238,6 @@ void Communicator::runRing(std::shared_ptr<Op> op,
     }
     auto self = weak_step.lock();
     auto remaining = std::make_shared<int>(n);
-    std::vector<std::pair<int, int>> pairs;
-    pairs.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      pairs.emplace_back(members[static_cast<std::size_t>(i)],
-                         members[static_cast<std::size_t>((i + 1) % n)]);
-    }
     sendChunks(op, pairs, chunkBytes, [this, remaining, self, s] {
       if (--*remaining == 0) {
         sim_.schedule(options_.step_overhead, [self, s] { (*self)(s + 1); });

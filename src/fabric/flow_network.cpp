@@ -74,21 +74,18 @@ FlowId FlowNetwork::admitByteFlow(const Route& route, NodeId src, NodeId dst,
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
+  // A free slot is already in its reset state (finishFlow), with the
+  // links vector's capacity kept for reuse.
   ActiveFlow& f = slots_[slot];
   f.id = id;
-  f.links = route.links;
+  f.links.assign(route.links.begin(), route.links.end());
   f.remaining = static_cast<double>(bytes);
-  f.rate = 0.0;
   f.max_rate = options.maxRate;
   f.total = bytes;
   f.start = sim_.now();
   f.arrival_latency = route.latency + options.extraLatency;
-  f.projected_finish = kInf;
   f.done = std::move(done);
-  f.tag = std::move(options.tag);
-  f.heap_pos = kNoPos;
-  f.active_pos = kNoPos;
-  f.span = beginFlowSpan(src, dst, bytes, f.tag, options.correlation);
+  f.span = beginFlowSpan(src, dst, bytes, options.tag, options.correlation);
   if (f.span != kInvalidAsyncSpan) {
     // Contention-free reference: the whole payload at the uncontended
     // route bottleneck (still respecting the flow's own rate cap).
@@ -97,7 +94,7 @@ FlowId FlowNetwork::admitByteFlow(const Route& route, NodeId src, NodeId dst,
       f.ideal_s = static_cast<double>(bytes) / ideal_rate;
     }
   }
-  id_to_slot_.emplace(id, slot);
+  id_to_slot_.insert(id, slot);
   for (LinkId l : f.links) {
     ++topo_.counters(l).flows;
     // Ids are monotonic, so appending keeps the list id-sorted.
@@ -202,10 +199,9 @@ bool FlowNetwork::cancelLatencyFlow(FlowId id) {
 
 bool FlowNetwork::cancelFlow(FlowId id) {
   if (cancelLatencyFlow(id)) return true;
-  auto it = id_to_slot_.find(id);
-  if (it == id_to_slot_.end()) return false;
+  const std::uint32_t slot = id_to_slot_.find(id);
+  if (slot == kNoPos) return false;
   advanceProgress();
-  const std::uint32_t slot = it->second;
   // Local copy: the Failed callback runs inline and may start new flows.
   std::vector<LinkId> seeds = slots_[slot].links;
   finishFlow(slot, FlowStatus::Failed);
@@ -217,7 +213,7 @@ bool FlowNetwork::cancelFlow(FlowId id) {
 std::size_t FlowNetwork::cancelFlows(const std::vector<FlowId>& ids) {
   bool any_active = false;
   for (FlowId id : ids) {
-    if (id_to_slot_.count(id) != 0) {
+    if (id_to_slot_.find(id) != kNoPos) {
       any_active = true;
       break;
     }
@@ -232,9 +228,8 @@ std::size_t FlowNetwork::cancelFlows(const std::vector<FlowId>& ids) {
       ++cancelled;
       continue;
     }
-    auto it = id_to_slot_.find(id);
-    if (it == id_to_slot_.end()) continue;
-    const std::uint32_t slot = it->second;
+    const std::uint32_t slot = id_to_slot_.find(id);
+    if (slot == kNoPos) continue;
     seeds.insert(seeds.end(), slots_[slot].links.begin(),
                  slots_[slot].links.end());
     finishFlow(slot, FlowStatus::Failed);
@@ -265,8 +260,8 @@ void FlowNetwork::failLink(LinkId link) {
   }
   std::sort(victims.begin(), victims.end());
   for (FlowId vid : victims) {
-    auto it = id_to_slot_.find(vid);
-    if (it != id_to_slot_.end()) finishFlow(it->second, FlowStatus::Failed);
+    const std::uint32_t slot = id_to_slot_.find(vid);
+    if (slot != kNoPos) finishFlow(slot, FlowStatus::Failed);
   }
   resolveAfterChange(seeds);
   scheduleNextCompletion();
@@ -281,8 +276,66 @@ void FlowNetwork::notifyTopologyChanged() {
 }
 
 Bandwidth FlowNetwork::flowRate(FlowId id) const {
-  auto it = id_to_slot_.find(id);
-  return it == id_to_slot_.end() ? 0.0 : slots_[it->second].rate;
+  const std::uint32_t slot = id_to_slot_.find(id);
+  return slot == kNoPos ? 0.0 : slots_[slot].rate;
+}
+
+void FlowNetwork::SlotIndex::clear() {
+  cells_.clear();
+  size_ = 0;
+  shift_ = 0;
+}
+
+void FlowNetwork::SlotIndex::insert(FlowId id, std::uint32_t slot) {
+  if (2 * (size_ + 1) > cells_.size()) {
+    // Grow to keep the load at most one half, then re-place every entry.
+    std::vector<Cell> old = std::move(cells_);
+    const std::size_t cap = std::max<std::size_t>(16, 2 * old.size());
+    cells_.assign(cap, Cell{});
+    shift_ = 64;
+    for (std::size_t c = cap; c > 1; c >>= 1) --shift_;
+    size_ = 0;
+    for (const Cell& cell : old) {
+      if (cell.id != kInvalidFlow) insert(cell.id, cell.slot);
+    }
+  }
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t i = home(id);
+  while (cells_[i].id != kInvalidFlow) i = (i + 1) & mask;
+  cells_[i] = Cell{id, slot};
+  ++size_;
+}
+
+std::uint32_t FlowNetwork::SlotIndex::find(FlowId id) const {
+  if (size_ == 0) return kNoPos;
+  const std::size_t mask = cells_.size() - 1;
+  for (std::size_t i = home(id); cells_[i].id != kInvalidFlow; i = (i + 1) & mask) {
+    if (cells_[i].id == id) return cells_[i].slot;
+  }
+  return kNoPos;
+}
+
+void FlowNetwork::SlotIndex::erase(FlowId id) {
+  if (size_ == 0) return;
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t i = home(id);
+  while (cells_[i].id != id) {
+    if (cells_[i].id == kInvalidFlow) return;
+    i = (i + 1) & mask;
+  }
+  // Backward-shift deletion: pull later cells of the probe run into the
+  // hole unless their home lies cyclically in (hole, cell].
+  for (std::size_t j = (i + 1) & mask; cells_[j].id != kInvalidFlow;
+       j = (j + 1) & mask) {
+    const std::size_t k = home(cells_[j].id);
+    const bool stays = (i <= j) ? (i < k && k <= j) : (i < k || k <= j);
+    if (!stays) {
+      cells_[i] = cells_[j];
+      i = j;
+    }
+  }
+  cells_[i].id = kInvalidFlow;
+  --size_;
 }
 
 FlowNetwork::State FlowNetwork::state() const {
@@ -665,41 +718,70 @@ void FlowNetwork::finishFlow(std::uint32_t slot, FlowStatus status) {
     auto& v = link_flows_[static_cast<std::size_t>(l)];
     v.erase(std::find(v.begin(), v.end(), slot));  // order-preserving
   }
-  id_to_slot_.erase(slots_[slot].id);
-  ActiveFlow f = std::move(slots_[slot]);
-  slots_[slot] = ActiveFlow{};
+  ActiveFlow& f = slots_[slot];
+  id_to_slot_.erase(f.id);
+  // Take what the report needs, then reset the slot in place before any
+  // callback runs: a Failed callback may start a flow that reuses it. The
+  // links vector keeps its capacity for the slot's next flow.
+  FlowCallback done = std::move(f.done);
+  const SimTime start = f.start;
+  const SimTime arrival_latency = f.arrival_latency;
+  const SimTime ideal_s = f.ideal_s;
+  const AsyncSpanId span = f.span;
+  const Bytes carried = (status == FlowStatus::Completed)
+                            ? f.total
+                            : f.total - static_cast<Bytes>(std::llround(f.remaining));
+  std::vector<LinkId> links = std::move(f.links);
+  links.clear();
+  f = ActiveFlow{};
+  f.links = std::move(links);
   free_slots_.push_back(slot);
   if (status == FlowStatus::Completed) {
     ++flows_completed_;
   } else {
     ++flows_failed_;
   }
-  const Bytes carried = (status == FlowStatus::Completed)
-                            ? f.total
-                            : f.total - static_cast<Bytes>(std::llround(f.remaining));
   if (ProfileSink* sink = sim_.profiler()) {
     // Per-flow contention accounting: time spent beyond the uncontended
     // reference duration is time lost to sharing links with other flows.
-    const SimTime actual = sim_.now() - f.start;
-    const SimTime contended = std::max(0.0, actual - f.ideal_s);
-    sink->endAsyncSpan(f.span,
+    const SimTime actual = sim_.now() - start;
+    const SimTime contended = std::max(0.0, actual - ideal_s);
+    sink->endAsyncSpan(span,
                        {{"status", status == FlowStatus::Completed
                                        ? "completed"
                                        : "failed"},
                         {"carried_bytes", carried},
-                        {"ideal_s", f.ideal_s},
+                        {"ideal_s", ideal_s},
                         {"contended_s", contended}});
   }
-  FlowResult result{status, carried, f.start, sim_.now() + f.arrival_latency};
-  if (f.done) {
-    if (status == FlowStatus::Completed) {
-      // Delivery completes one propagation latency after the last byte is
-      // injected; the callback observes arrival time.
-      sim_.schedule(f.arrival_latency, [cb = std::move(f.done), result] { cb(result); });
-    } else {
-      f.done(result);
-    }
+  FlowResult result{status, carried, start, sim_.now() + arrival_latency};
+  if (!done) return;
+  if (status == FlowStatus::Failed) {
+    done(result);
+    return;
   }
+  // Delivery completes one propagation latency after the last byte is
+  // injected; the callback observes arrival time. The pending delivery
+  // waits in the pool so the event's closure stays small enough to be
+  // stored inline.
+  std::uint32_t idx;
+  if (free_deliveries_.empty()) {
+    idx = static_cast<std::uint32_t>(deliveries_.size());
+    deliveries_.push_back(Delivery{std::move(done), result});
+  } else {
+    idx = free_deliveries_.back();
+    free_deliveries_.pop_back();
+    deliveries_[idx] = Delivery{std::move(done), result};
+  }
+  sim_.schedule(arrival_latency, [this, idx] { deliver(idx); });
+}
+
+void FlowNetwork::deliver(std::uint32_t idx) {
+  // Move out and free the entry first: the callback may complete other
+  // flows' deliveries into the pool, growing deliveries_.
+  Delivery d = std::move(deliveries_[idx]);
+  free_deliveries_.push_back(idx);
+  d.done(d.result);
 }
 
 }  // namespace composim::fabric

@@ -15,6 +15,12 @@
 // completions live in an indexed min-heap that is updated only for flows
 // whose rate actually changed, so the next-completion lookup is O(1) and
 // progress advancement walks an active-set of flowing transfers only.
+//
+// The per-flow path reuses its storage. A finished flow's slot is reset
+// in place (its links vector keeps its capacity for the next flow), and a
+// completed flow's callback and result wait out the arrival latency in a
+// free-listed delivery pool, so the delivery event captures only an index
+// and its closure fits inside the std::function without allocating.
 #pragma once
 
 #include <cstdint>
@@ -182,6 +188,33 @@ class FlowNetwork {
  private:
   static constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
 
+  /// FlowId -> slot lookup for the public API: open addressing with linear
+  /// probing over a power-of-two table (kInvalidFlow marks an empty cell),
+  /// so admitting and finishing a flow allocate nothing once the table has
+  /// grown. Never iterated, so its layout cannot reach any result.
+  class SlotIndex {
+   public:
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    void clear();
+    void insert(FlowId id, std::uint32_t slot);
+    /// The flow's slot, or kNoPos when the id is not live.
+    std::uint32_t find(FlowId id) const;
+    void erase(FlowId id);
+
+   private:
+    struct Cell {
+      FlowId id = kInvalidFlow;
+      std::uint32_t slot = 0;
+    };
+    std::size_t home(FlowId id) const {
+      return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    std::vector<Cell> cells_;
+    std::size_t size_ = 0;
+    unsigned shift_ = 0;  // 64 - log2(cells_.size())
+  };
+
   struct ActiveFlow {
     FlowId id = kInvalidFlow;
     std::vector<LinkId> links;
@@ -196,7 +229,6 @@ class FlowNetwork {
     // changes and never drifts with progress advancement.
     SimTime projected_finish = std::numeric_limits<SimTime>::infinity();
     FlowCallback done;
-    std::string tag;
     std::uint32_t heap_pos = kNoPos;    // position in completion_heap_
     std::uint32_t active_pos = kNoPos;  // position in active_ (rate > 0)
     AsyncSpanId span = kInvalidAsyncSpan;
@@ -248,6 +280,8 @@ class FlowNetwork {
   void onCompletionEvent();
   void onLatencyFlowDone(FlowId id);
   void finishFlow(std::uint32_t slot, FlowStatus status);
+  /// Run and free a pooled completed-flow delivery.
+  void deliver(std::uint32_t idx);
 
   // Indexed min-heap over projected_finish (ties by FlowId).
   bool heapLess(std::uint32_t a, std::uint32_t b) const;
@@ -263,8 +297,17 @@ class FlowNetwork {
   // Flow storage: dense reusable slots + id lookup for the public API.
   std::vector<ActiveFlow> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<FlowId, std::uint32_t> id_to_slot_;
+  SlotIndex id_to_slot_;
   std::unordered_map<FlowId, LatencyFlow> latency_flows_;
+
+  /// A completed flow's callback and result, waiting out the arrival
+  /// latency. Free-listed, so the delivery event captures only an index.
+  struct Delivery {
+    FlowCallback done;
+    FlowResult result;
+  };
+  std::vector<Delivery> deliveries_;
+  std::vector<std::uint32_t> free_deliveries_;
 
   // Persistent bipartite index, dense by LinkId. Each per-link list is
   // kept in ascending FlowId order (append monotonic ids, order-preserving

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -43,9 +44,16 @@ EventId Simulator::schedule(SimTime delay, Action fn) {
 
 EventId Simulator::scheduleAt(SimTime when, Action fn) {
   if (!fn) throw std::invalid_argument("Simulator::schedule: empty action");
-  if (when < now_) when = now_;
+  if (!(when >= now_)) {
+    // NaN compares false both ways and would break the heap order.
+    if (std::isnan(when)) {
+      throw std::invalid_argument("Simulator::schedule: NaN time");
+    }
+    when = now_;
+  }
   const std::uint32_t slot = allocSlot();
-  heap_.push_back(Entry{when, next_seq_++, slot, std::move(fn)});
+  slots_[slot].fn = std::move(fn);
+  heap_.push_back(Entry{when, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), later);
   return (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
 }
@@ -67,6 +75,7 @@ bool Simulator::cancel(EventId id) {
 void Simulator::compactTombstones() {
   auto live_end = std::remove_if(heap_.begin(), heap_.end(), [this](const Entry& e) {
     if (!slots_[e.slot].cancelled) return false;
+    slots_[e.slot].fn = nullptr;
     releaseSlot(e.slot);
     return true;
   });
@@ -78,28 +87,33 @@ void Simulator::compactTombstones() {
 void Simulator::purgeCancelledTop() {
   while (!heap_.empty() && slots_[heap_.front().slot].cancelled) {
     std::pop_heap(heap_.begin(), heap_.end(), later);
-    releaseSlot(heap_.back().slot);
+    const std::uint32_t slot = heap_.back().slot;
     heap_.pop_back();
+    slots_[slot].fn = nullptr;
+    releaseSlot(slot);
     --cancelled_;
   }
 }
 
-bool Simulator::popNext(Entry& out) {
+bool Simulator::popNext(SimTime& when, Action& fn) {
   purgeCancelledTop();
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), later);
-  out = std::move(heap_.back());
+  const Entry e = heap_.back();
   heap_.pop_back();
-  releaseSlot(out.slot);
+  fn = std::move(slots_[e.slot].fn);
+  releaseSlot(e.slot);
+  when = e.time;
   return true;
 }
 
 bool Simulator::step() {
-  Entry e;
-  if (!popNext(e)) return false;
-  now_ = e.time;
+  SimTime when;
+  Action fn;
+  if (!popNext(when, fn)) return false;
+  now_ = when;
   ++executed_;
-  e.fn();
+  fn();
   return true;
 }
 
@@ -142,18 +156,19 @@ void Simulator::setState(const State& st) {
 }
 
 void Simulator::runUntil(SimTime until) {
-  Entry e;
+  SimTime when;
+  Action fn;
   while (true) {
     purgeCancelledTop();
     if (heap_.empty()) return;
     if (heap_.front().time > until) {
-      now_ = until;
+      if (until > now_) now_ = until;
       return;
     }
-    if (!popNext(e)) return;
-    now_ = e.time;
+    if (!popNext(when, fn)) return;
+    now_ = when;
     ++executed_;
-    e.fn();
+    fn();
   }
 }
 

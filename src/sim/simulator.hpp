@@ -1,13 +1,16 @@
 // composim: discrete-event simulation kernel.
 //
 // Single-threaded, deterministic. Events are (time, sequence) ordered so
-// ties resolve in scheduling order. Cancellation is O(1) via a
-// slot/generation scheme: an EventId encodes a slot index plus the slot's
-// generation, so cancel() and pop-time tombstone checks are plain array
-// accesses instead of hash lookups. Cancelled entries stay in the heap as
-// tombstones and are discarded at pop time; when tombstones dominate the
-// heap they are compacted in one pass so mass cancellation (e.g. a flow
-// network rescheduling its completion event) cannot bloat the queue.
+// ties resolve in scheduling order. The binary heap holds only 24-byte
+// {time, seq, slot} keys; each event's action lives in its slot, so heap
+// sifts move three scalars instead of a std::function. Cancellation is
+// O(1) via a slot/generation scheme: an EventId encodes a slot index plus
+// the slot's generation, so cancel() and pop-time tombstone checks are
+// plain array accesses instead of hash lookups. Cancelled entries stay in
+// the heap as tombstones and are discarded at pop time (their slot's
+// action is released then); when tombstones dominate the heap they are
+// compacted in one pass so mass cancellation (e.g. a flow network
+// rescheduling its completion event) cannot bloat the queue.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +41,11 @@ class Simulator {
 
   /// Schedule `fn` to run `delay` seconds from now. Negative delays clamp
   /// to zero (run at the current time, after already-queued events).
+  /// Throws std::invalid_argument for an empty action or a NaN delay.
   EventId schedule(SimTime delay, Action fn);
 
-  /// Schedule at an absolute time (clamped to now()).
+  /// Schedule at an absolute time (clamped to now()). Throws
+  /// std::invalid_argument for an empty action or a NaN time.
   EventId scheduleAt(SimTime when, Action fn);
 
   /// Cancel a pending event. Returns false if it already ran, was already
@@ -54,7 +59,8 @@ class Simulator {
   void run(std::uint64_t maxEvents = UINT64_MAX);
 
   /// Run until simulated time reaches `until` (events at exactly `until`
-  /// are executed) or the queue drains.
+  /// are executed) or the queue drains. The clock never runs backwards:
+  /// with `until` < now() no event runs and now() is unchanged.
   void runUntil(SimTime until);
 
   /// Number of events executed so far.
@@ -95,10 +101,10 @@ class Simulator {
   struct Entry {
     SimTime time;
     std::uint64_t seq;   // global scheduling order; breaks time ties
-    std::uint32_t slot;  // index into slots_
-    Action fn;
+    std::uint32_t slot;  // index into slots_, which holds the action
   };
   struct Slot {
+    Action fn;  // set while pending; released when the event runs or purges
     std::uint32_t generation = 1;
     bool pending = false;
     bool cancelled = false;
@@ -115,7 +121,10 @@ class Simulator {
   void purgeCancelledTop();
   /// Drop all tombstones and rebuild the heap in O(n).
   void compactTombstones();
-  bool popNext(Entry& out);
+  /// Pop the next live event: its time goes to `when` and its action is
+  /// moved into `fn` before the slot is released (the running action may
+  /// schedule events, which can grow slots_).
+  bool popNext(SimTime& when, Action& fn);
 
   ProfileSink* profiler_ = nullptr;
   SimTime now_ = 0.0;

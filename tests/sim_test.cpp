@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event kernel, RNG streams and units.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -159,6 +160,36 @@ TEST(Simulator, RunUntilAdvancesClockWithoutEvents) {
   sim.schedule(10.0, [] {});
   sim.runUntil(4.0);
   EXPECT_DOUBLE_EQ(sim.now(), 4.0);
+}
+
+TEST(Simulator, RunUntilInThePastLeavesClockUnchanged) {
+  Simulator sim;
+  int count = 0;
+  sim.schedule(5.0, [&] { ++count; });
+  sim.schedule(10.0, [&] { ++count; });
+  sim.runUntil(6.0);
+  ASSERT_DOUBLE_EQ(sim.now(), 6.0);
+  sim.runUntil(2.0);  // e.g. a watchdog shorter than a restored prefix
+  EXPECT_DOUBLE_EQ(sim.now(), 6.0);
+  EXPECT_EQ(count, 1);
+  sim.run();
+  EXPECT_EQ(count, 2);
+  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
+}
+
+TEST(Simulator, ThrowsOnNaNDelayOrTime) {
+  Simulator sim;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sim.schedule(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.scheduleAt(nan, [] {}), std::invalid_argument);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.queuedEvents(), 0u);
+  // The heap order survives: later events still run in time order.
+  std::vector<int> order;
+  sim.schedule(2.0, [&] { order.push_back(2); });
+  sim.schedule(1.0, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(Simulator, StepReturnsFalseWhenEmpty) {
