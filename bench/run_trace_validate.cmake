@@ -1,5 +1,6 @@
-# Runs trace_capture (a short traced MobileNetV2 experiment) and then
-# trace_validate over the Chrome trace it wrote. Invoked as the
+# Runs trace_capture (a short traced BERT-L experiment, which also gates
+# the export's heap allocations per record) and then trace_validate over
+# the Chrome trace it wrote. Invoked as the
 # bench_trace_validate ctest with -DCAPTURE_BIN / -DVALIDATE_BIN /
 # -DOUT_JSON.
 foreach(var CAPTURE_BIN VALIDATE_BIN OUT_JSON)

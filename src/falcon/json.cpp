@@ -1,9 +1,11 @@
 #include "falcon/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
+#include <string_view>
 
 namespace composim::falcon {
 
@@ -47,92 +49,177 @@ void Json::set(const std::string& key, Json value) {
   obj.emplace_back(key, std::move(value));
 }
 
-namespace {
+/// Serializes a Json tree into a std::string. Tokens are written into a
+/// fixed local buffer that is flushed to the string in whole blocks, so
+/// each small write (a quote, a key, a number) is a bounds check plus a
+/// memcpy instead of a std::string append.
+class JsonWriter {
+ public:
+  JsonWriter(std::string& out, int indent) : out_(out), indent_(indent) {}
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
 
-void escapeString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
+  void value(const Json& v, int depth);
+  void flush() {
+    out_.append(buf_, len_);
+    len_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kBufSize = 16384;
+
+  /// Room for `n` <= kBufSize more bytes at the returned cursor.
+  char* room(std::size_t n) {
+    if (kBufSize - len_ < n) flush();
+    return buf_ + len_;
+  }
+  void put(char c) {
+    *room(1) = c;
+    ++len_;
+  }
+  void put(const char* s, std::size_t n) {
+    if (n > kBufSize) {
+      flush();
+      out_.append(s, n);
+      return;
+    }
+    std::memcpy(room(n), s, n);
+    len_ += n;
+  }
+  void newline(int depth);
+  void string(std::string_view s);
+  void integer(std::int64_t v);
+  void number(double d);
+
+  std::string& out_;
+  int indent_;
+  std::size_t len_ = 0;
+  char buf_[kBufSize];
+};
+
+void JsonWriter::newline(int depth) {
+  if (indent_ < 0) return;
+  put('\n');
+  auto n = static_cast<std::size_t>(indent_) * static_cast<std::size_t>(depth);
+  while (n > 0) {
+    const std::size_t k = std::min(n, kBufSize);
+    std::memset(room(k), ' ', k);
+    len_ += k;
+    n -= k;
+  }
+}
+
+/// A quoted JSON string. Runs of bytes that need no escape (everything but
+/// '"', '\\' and the controls below 0x20) are copied whole; 0x7f and
+/// multi-byte UTF-8 pass through unescaped.
+void JsonWriter::string(std::string_view s) {
+  put('"');
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    put(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      case '"': put("\\\"", 2); break;
+      case '\\': put("\\\\", 2); break;
+      case '\n': put("\\n", 2); break;
+      case '\r': put("\\r", 2); break;
+      case '\t': put("\\t", 2); break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        put(esc, sizeof(esc));
+      }
     }
   }
-  out += '"';
+  put(s.data() + run, s.size() - run);
+  put('"');
 }
 
-void newlineIndent(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth), ' ');
+void JsonWriter::integer(std::int64_t v) {
+  constexpr std::size_t kMax = 20;  // "-9223372036854775808"
+  char* p = room(kMax);
+  len_ += static_cast<std::size_t>(std::to_chars(p, p + kMax, v).ptr - p);
 }
 
-}  // namespace
+/// `d` exactly as printf("%.17g") writes it in the C locale, which is how
+/// std::to_chars defines general format at precision 17. Integral values
+/// below 1e15 print the same digits as the integer itself, so they take
+/// the cheaper integer path (except -0.0, which %g writes as "-0").
+void JsonWriter::number(double d) {
+  if (!std::isfinite(d)) {
+    put("null", 4);  // JSON has no Inf/NaN
+    return;
+  }
+  if (d > -1e15 && d < 1e15) {
+    const auto i = static_cast<std::int64_t>(d);
+    if (static_cast<double>(i) == d && (i != 0 || !std::signbit(d))) {
+      integer(i);
+      return;
+    }
+  }
+  constexpr std::size_t kMax = 32;  // "-1.2345678901234567e-308" is 24
+  char* p = room(kMax);
+  const auto res = std::to_chars(p, p + kMax, d, std::chars_format::general, 17);
+  len_ += static_cast<std::size_t>(res.ptr - p);
+}
 
-void Json::dumpTo(std::string& out, int indent, int depth) const {
-  if (isNull()) {
-    out += "null";
-  } else if (isBool()) {
-    out += asBool() ? "true" : "false";
-  } else if (isInt()) {
-    out += std::to_string(std::get<std::int64_t>(value_));
-  } else if (isDouble()) {
-    const double d = std::get<double>(value_);
-    if (std::isfinite(d)) {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "%.17g", d);
-      out += buf;
+void JsonWriter::value(const Json& v, int depth) {
+  if (const auto* i = std::get_if<std::int64_t>(&v.value_)) {
+    integer(*i);
+  } else if (const auto* d = std::get_if<double>(&v.value_)) {
+    number(*d);
+  } else if (const auto* str = std::get_if<std::string>(&v.value_)) {
+    string(*str);
+  } else if (const auto* arr = std::get_if<JsonArray>(&v.value_)) {
+    if (arr->empty()) {
+      put("[]", 2);
+      return;
+    }
+    put('[');
+    for (std::size_t i = 0; i < arr->size(); ++i) {
+      if (i > 0) put(',');
+      newline(depth + 1);
+      value((*arr)[i], depth + 1);
+    }
+    newline(depth);
+    put(']');
+  } else if (const auto* obj = std::get_if<JsonObject>(&v.value_)) {
+    if (obj->empty()) {
+      put("{}", 2);
+      return;
+    }
+    put('{');
+    for (std::size_t i = 0; i < obj->size(); ++i) {
+      if (i > 0) put(',');
+      newline(depth + 1);
+      string((*obj)[i].first);
+      if (indent_ < 0) {
+        put(':');
+      } else {
+        put(": ", 2);
+      }
+      value((*obj)[i].second, depth + 1);
+    }
+    newline(depth);
+    put('}');
+  } else if (const auto* b = std::get_if<bool>(&v.value_)) {
+    if (*b) {
+      put("true", 4);
     } else {
-      out += "null";  // JSON has no Inf/NaN
+      put("false", 5);
     }
-  } else if (isString()) {
-    escapeString(out, asString());
-  } else if (isArray()) {
-    const auto& arr = asArray();
-    if (arr.empty()) {
-      out += "[]";
-      return;
-    }
-    out += '[';
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      if (i > 0) out += ',';
-      newlineIndent(out, indent, depth + 1);
-      arr[i].dumpTo(out, indent, depth + 1);
-    }
-    newlineIndent(out, indent, depth);
-    out += ']';
   } else {
-    const auto& obj = asObject();
-    if (obj.empty()) {
-      out += "{}";
-      return;
-    }
-    out += '{';
-    for (std::size_t i = 0; i < obj.size(); ++i) {
-      if (i > 0) out += ',';
-      newlineIndent(out, indent, depth + 1);
-      escapeString(out, obj[i].first);
-      out += indent < 0 ? ":" : ": ";
-      obj[i].second.dumpTo(out, indent, depth + 1);
-    }
-    newlineIndent(out, indent, depth);
-    out += '}';
+    put("null", 4);
   }
 }
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dumpTo(out, indent, 0);
+  JsonWriter writer(out, indent);
+  writer.value(*this, 0);
+  writer.flush();
   return out;
 }
 
@@ -279,17 +366,22 @@ class Parser {
     if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
       fail("invalid number");
     }
-    const std::string tok = text_.substr(start, pos_ - start);
+    // from_chars, unlike stod, is locale-independent, needs no substring
+    // copy and accepts subnormals, which the writer emits. Overflow
+    // (1e400) and a token it cannot consume whole ("1e") fail.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
     if (isInt) {
       std::int64_t v = 0;
-      auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-      if (ec == std::errc() && p == tok.data() + tok.size()) return Json(v);
+      auto [p, ec] = std::from_chars(first, last, v);
+      if (ec == std::errc() && p == last) return Json(v);
     }
-    try {
-      return Json(std::stod(tok));
-    } catch (const std::exception&) {
-      fail("invalid number '" + tok + "'");
+    double d = 0.0;
+    auto [p, ec] = std::from_chars(first, last, d);
+    if (ec != std::errc() || p != last) {
+      fail("invalid number '" + std::string(first, last) + "'");
     }
+    return Json(d);
   }
 
   Json parseObject() {

@@ -3,6 +3,15 @@
 // Supports the subset needed for Falcon configuration import/export
 // (objects, arrays, strings, doubles, integers, booleans, null). Object
 // keys keep insertion order so exported configurations diff cleanly.
+//
+// The writer is also the Chrome-trace serializer, so it is built for
+// volume (tokens go through a local block buffer, not one std::string
+// append each) and its output is fixed byte for byte: doubles print as
+// printf("%.17g") in the C locale (via std::to_chars, never the process
+// locale), non-finite doubles print null, and strings escape only '"',
+// '\' and the controls below 0x20 (\n \r \t by name, the rest as
+// \u00xx). The parser reads numbers with std::from_chars, so every
+// number the writer emits, subnormals included, parses back exactly.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +79,8 @@ class Json {
   /// Append to an array.
   void push(Json value) { asArray().push_back(std::move(value)); }
 
-  /// Serialize; indent < 0 means compact single-line output.
+  /// Serialize; indent < 0 means compact single-line output, otherwise
+  /// `indent` spaces per nesting level and ": " after keys.
   std::string dump(int indent = 2) const;
 
   /// Parse a JSON document; throws JsonError with position info.
@@ -90,7 +100,7 @@ class Json {
     throw JsonError(std::string("Json: not a ") + what);
   }
 
-  void dumpTo(std::string& out, int indent, int depth) const;
+  friend class JsonWriter;  // the serializer behind dump()
 
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string,
                JsonArray, JsonObject>

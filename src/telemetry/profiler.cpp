@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace composim::telemetry {
@@ -10,16 +12,37 @@ namespace {
 
 constexpr int kTracePid = 1;
 
+/// Arg objects keep Json::set() semantics: a repeated key overwrites the
+/// value in the position of its first occurrence.
 falcon::Json argsToJson(const ProfileArgs& args) {
-  falcon::Json obj = falcon::Json::object();
+  falcon::JsonObject obj;
+  obj.reserve(args.size());
   for (const ProfileArg& a : args) {
-    if (a.is_string) {
-      obj.set(a.key, a.str);
+    falcon::Json v = a.is_string ? falcon::Json(a.str) : falcon::Json(a.num);
+    auto it = std::find_if(obj.begin(), obj.end(),
+                           [&a](const auto& kv) { return kv.first == a.key; });
+    if (it != obj.end()) {
+      it->second = std::move(v);
     } else {
-      obj.set(a.key, a.num);
+      obj.emplace_back(a.key, std::move(v));
     }
   }
-  return obj;
+  return falcon::Json(std::move(obj));
+}
+
+/// A metadata event naming the process (tid 0) or one track's row.
+falcon::Json metadataEvent(std::int64_t tid, const char* name,
+                           const std::string& label) {
+  falcon::JsonObject args;
+  args.emplace_back("name", label);
+  falcon::JsonObject ev;
+  ev.reserve(5);
+  ev.emplace_back("ph", "M");
+  ev.emplace_back("pid", kTracePid);
+  ev.emplace_back("tid", tid);
+  ev.emplace_back("name", name);
+  ev.emplace_back("args", std::move(args));
+  return falcon::Json(std::move(ev));
 }
 
 }  // namespace
@@ -117,14 +140,25 @@ void Profiler::endAsyncSpan(AsyncSpanId id, ProfileArgs args) {
   records_.push_back(std::move(end));
 }
 
+const Profiler::CounterState* Profiler::findCounter(
+    const std::string& counter, const std::string& series) const {
+  auto c = counters_.find(counter);
+  if (c == counters_.end()) return nullptr;
+  for (const auto& [name, st] : c->second.series) {
+    if (name == series) return &st;
+  }
+  return nullptr;
+}
+
 void Profiler::setCounter(const std::string& counter, const std::string& series,
                           double value) {
   if (!recording()) return;
   const SimTime t = now();
-  auto& state_map = counters_[counter];
-  auto it = state_map.find(series);
-  if (it == state_map.end()) {
-    state_map.emplace(series, CounterState{value, t, t, 0.0});
+  CounterTrack& track = counters_.try_emplace(counter).first->second;
+  auto it = std::find_if(track.series.begin(), track.series.end(),
+                         [&series](const auto& s) { return s.first == series; });
+  if (it == track.series.end()) {
+    track.series.emplace_back(series, CounterState{value, t, t, 0.0});
   } else {
     CounterState& s = it->second;
     if (s.value == value) return;  // no change: skip the duplicate record
@@ -138,7 +172,10 @@ void Profiler::setCounter(const std::string& counter, const std::string& series,
     ++dropped_records_;
     return;
   }
-  records_.push_back(Record{'C', t, trackId(counter), kInvalidAsyncSpan,
+  // The track is registered at the counter's first recorded update, never
+  // at a suppressed one, so a capped trace names no empty counter rows.
+  if (track.tid == kNoTrack) track.tid = trackId(counter);
+  records_.push_back(Record{'C', t, track.tid, kInvalidAsyncSpan,
                             "counter", counter,
                             ProfileArgs{{series, value}}});
 }
@@ -156,29 +193,23 @@ void Profiler::instant(const char* category, std::string name,
 
 bool Profiler::hasCounter(const std::string& counter,
                           const std::string& series) const {
-  auto c = counters_.find(counter);
-  return c != counters_.end() && c->second.count(series) > 0;
+  return findCounter(counter, series) != nullptr;
 }
 
 double Profiler::counterValue(const std::string& counter,
                               const std::string& series) const {
-  auto c = counters_.find(counter);
-  if (c == counters_.end()) return 0.0;
-  auto s = c->second.find(series);
-  return s == c->second.end() ? 0.0 : s->second.value;
+  const CounterState* st = findCounter(counter, series);
+  return st == nullptr ? 0.0 : st->value;
 }
 
 double Profiler::counterMean(const std::string& counter,
                              const std::string& series) const {
-  auto c = counters_.find(counter);
-  if (c == counters_.end()) return 0.0;
-  auto s = c->second.find(series);
-  if (s == c->second.end()) return 0.0;
-  const CounterState& st = s->second;
+  const CounterState* st = findCounter(counter, series);
+  if (st == nullptr) return 0.0;
   const SimTime end = now();
-  const SimTime span = end - st.first;
-  if (span <= 0.0) return st.value;
-  const double integral = st.weighted_sum + st.value * (end - st.since);
+  const SimTime span = end - st->first;
+  if (span <= 0.0) return st->value;
+  const double integral = st->weighted_sum + st->value * (end - st->since);
   return integral / span;
 }
 
@@ -217,8 +248,8 @@ void Profiler::finalize() {
   end_time_ = sim_->now();
   // Close every counter integral at the end time so means computed after
   // the Simulator is gone cover the full run.
-  for (auto& [counter, series_map] : counters_) {
-    for (auto& [series, st] : series_map) {
+  for (auto& [counter, track] : counters_) {
+    for (auto& [series, st] : track.series) {
       st.weighted_sum += st.value * (end_time_ - st.since);
       st.since = end_time_;
     }
@@ -229,75 +260,70 @@ void Profiler::finalize() {
 std::vector<std::size_t> Profiler::exportOrder() const {
   std::vector<std::size_t> order(records_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  // (time, tid, seq): recording order is already time-sorted (the sim
-  // clock is monotone), so this only canonicalizes cross-track ties at
-  // one timestamp. Per-track sequence is preserved (seq is the final
-  // key), which is what keeps B/E nesting and b/e pairing valid.
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     const Record& ra = records_[a];
-                     const Record& rb = records_[b];
-                     if (ra.time != rb.time) return ra.time < rb.time;
-                     if (ra.tid != rb.tid) return ra.tid < rb.tid;
-                     return a < b;
-                   });
+  // Recording order is already time-sorted (the sim clock is monotone),
+  // so the (time, tid, seq) order only has to canonicalize each run of
+  // records sharing one timestamp: sort the run by (tid, seq). Per-track
+  // sequence is preserved (seq is the final key), which is what keeps
+  // B/E nesting and b/e pairing valid.
+  const auto byTrack = [this](std::size_t a, std::size_t b) {
+    const std::uint32_t ta = records_[a].tid;
+    const std::uint32_t tb = records_[b].tid;
+    return ta != tb ? ta < tb : a < b;
+  };
+  std::size_t run = 0;
+  for (std::size_t i = 1; i <= order.size(); ++i) {
+    if (i < order.size() && records_[i].time == records_[run].time) continue;
+    if (i < order.size() && records_[i].time < records_[run].time) {
+      throw std::logic_error(
+          "Profiler::exportOrder: record " + std::to_string(i) +
+          " is earlier than the record before it; records must be in "
+          "nondecreasing time order");
+    }
+    if (i - run > 1) std::sort(order.begin() + run, order.begin() + i, byTrack);
+    run = i;
+  }
   return order;
 }
 
 falcon::Json Profiler::chromeTrace() const {
-  falcon::Json events = falcon::Json::array();
+  falcon::JsonArray events;
+  events.reserve(1 + track_names_.size() + records_.size());
   // Process + per-track thread names so Perfetto labels the rows.
-  {
-    falcon::Json meta = falcon::Json::object();
-    meta.set("ph", "M");
-    meta.set("pid", kTracePid);
-    meta.set("tid", 0);
-    meta.set("name", "process_name");
-    falcon::Json args = falcon::Json::object();
-    args.set("name", "composim");
-    meta.set("args", std::move(args));
-    events.push(std::move(meta));
-  }
+  events.push_back(metadataEvent(0, "process_name", "composim"));
   for (std::size_t tid = 0; tid < track_names_.size(); ++tid) {
-    falcon::Json meta = falcon::Json::object();
-    meta.set("ph", "M");
-    meta.set("pid", kTracePid);
-    meta.set("tid", static_cast<std::int64_t>(tid));
-    meta.set("name", "thread_name");
-    falcon::Json args = falcon::Json::object();
-    args.set("name", track_names_[tid]);
-    meta.set("args", std::move(args));
-    events.push(std::move(meta));
+    events.push_back(metadataEvent(static_cast<std::int64_t>(tid),
+                                   "thread_name", track_names_[tid]));
   }
   for (const std::size_t idx : exportOrder()) {
     const Record& r = records_[idx];
-    falcon::Json ev = falcon::Json::object();
-    ev.set("ph", std::string(1, r.phase));
-    ev.set("ts", r.time * 1e6);  // trace_event timestamps are microseconds
-    ev.set("pid", kTracePid);
-    ev.set("tid", static_cast<std::int64_t>(r.tid));
-    if (!r.name.empty()) ev.set("name", r.name);
-    if (!r.category.empty()) ev.set("cat", r.category);
+    falcon::JsonObject ev;  // reserved to its exact field count
+    ev.reserve(4 + !r.name.empty() + !r.category.empty() +
+               (r.id != kInvalidAsyncSpan) + (r.phase == 'i') + !r.args.empty());
+    ev.emplace_back("ph", std::string(1, r.phase));
+    ev.emplace_back("ts", r.time * 1e6);  // trace_event timestamps are microseconds
+    ev.emplace_back("pid", kTracePid);
+    ev.emplace_back("tid", static_cast<std::int64_t>(r.tid));
+    if (!r.name.empty()) ev.emplace_back("name", r.name);
+    if (!r.category.empty()) ev.emplace_back("cat", r.category);
     if (r.id != kInvalidAsyncSpan) {
-      ev.set("id", static_cast<std::int64_t>(r.id));
+      ev.emplace_back("id", static_cast<std::int64_t>(r.id));
     }
-    if (r.phase == 'i') ev.set("s", "t");  // instant scope: thread
-    if (!r.args.empty()) ev.set("args", argsToJson(r.args));
-    events.push(std::move(ev));
+    if (r.phase == 'i') ev.emplace_back("s", "t");  // instant scope: thread
+    if (!r.args.empty()) ev.emplace_back("args", argsToJson(r.args));
+    events.emplace_back(std::move(ev));
   }
-  falcon::Json doc = falcon::Json::object();
-  doc.set("traceEvents", std::move(events));
-  doc.set("displayTimeUnit", "ms");
-  doc.set("otherData", [this] {
-    falcon::Json d = falcon::Json::object();
-    d.set("producer", "composim.telemetry.Profiler");
-    if (max_records_ > 0) {
-      d.set("max_records", static_cast<std::int64_t>(max_records_));
-      d.set("dropped_records", static_cast<std::int64_t>(dropped_records_));
-    }
-    return d;
-  }());
-  return doc;
+  falcon::JsonObject other;
+  other.emplace_back("producer", "composim.telemetry.Profiler");
+  if (max_records_ > 0) {
+    other.emplace_back("max_records", static_cast<std::int64_t>(max_records_));
+    other.emplace_back("dropped_records",
+                       static_cast<std::int64_t>(dropped_records_));
+  }
+  falcon::JsonObject doc;
+  doc.emplace_back("traceEvents", std::move(events));
+  doc.emplace_back("displayTimeUnit", "ms");
+  doc.emplace_back("otherData", std::move(other));
+  return falcon::Json(std::move(doc));
 }
 
 Status Profiler::writeChromeTrace(const std::string& path, int indent) const {

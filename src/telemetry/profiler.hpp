@@ -13,12 +13,18 @@
 // Everything is a no-op while disabled, and components only reach the
 // profiler through Simulator::profiler() (nullptr when absent), so an
 // untraced run pays one branch per potential record.
+//
+// A traced run pays for recording and for export, so both are kept lean:
+// setCounter makes one hash lookup on the counter name, chromeTrace()
+// builds each event as a reserved object, and exportOrder() sorts only
+// the runs of records that share a timestamp (records are appended at the
+// monotone sim clock, a precondition it checks).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -131,6 +137,11 @@ class Profiler final : public ProfileSink {
   /// execution order. Track ids are assigned in first-use order and names
   /// are fixed per track, so the full key is equivalent to the documented
   /// (start, depth, name, seq) ordering restricted to valid traces.
+  ///
+  /// Precondition: records are in nondecreasing time order, as recording
+  /// at the sim clock leaves them, so only runs of equal timestamps are
+  /// sorted. A record earlier than its predecessor (reachable only through
+  /// a hand-built State) throws std::logic_error, here and in chromeTrace().
   std::vector<std::size_t> exportOrder() const;
 
   /// Opaque full-trace snapshot (records, track table, open async spans,
@@ -170,6 +181,15 @@ class Profiler final : public ProfileSink {
     SimTime first = 0.0;
     double weighted_sum = 0.0;  // integral of value dt up to `since`
   };
+  static constexpr std::uint32_t kNoTrack = UINT32_MAX;
+  /// One counter's series (one or two per counter, so a linear scan) and
+  /// its trace track id, kNoTrack until the counter's first recorded
+  /// update registers the track.
+  struct CounterTrack {
+    std::uint32_t tid = kNoTrack;
+    std::vector<std::pair<std::string, CounterState>> series;
+  };
+  using CounterMap = std::unordered_map<std::string, CounterTrack>;
 
   bool recording() const { return enabled_ && sim_ != nullptr; }
   bool atCapacity() const {
@@ -177,6 +197,8 @@ class Profiler final : public ProfileSink {
   }
   SimTime now() const { return sim_ != nullptr ? sim_->now() : end_time_; }
   std::uint32_t trackId(const std::string& track);
+  const CounterState* findCounter(const std::string& counter,
+                                  const std::string& series) const;
 
   Simulator* sim_;  // null after finalize()
   bool enabled_ = true;
@@ -185,8 +207,9 @@ class Profiler final : public ProfileSink {
   std::vector<std::string> track_names_;  // index = tid
   std::unordered_map<std::string, std::uint32_t> track_ids_;
   std::unordered_map<AsyncSpanId, std::size_t> open_async_;  // id -> begin idx
-  // Ordered so export and mean queries iterate deterministically.
-  std::map<std::string, std::map<std::string, CounterState>> counters_;
+  // Keyed by counter name: one hash lookup per setCounter. Nothing that
+  // reaches output iterates it (finalize closes each integral on its own).
+  CounterMap counters_;
   AsyncSpanId next_async_ = 1;
   std::uint64_t next_corr_ = 1;
   // Max-record drop policy (0 = unbounded). drop_depth_[tid] counts open
@@ -203,7 +226,7 @@ struct Profiler::State {
   std::vector<std::string> track_names;
   std::unordered_map<std::string, std::uint32_t> track_ids;
   std::unordered_map<AsyncSpanId, std::size_t> open_async;
-  std::map<std::string, std::map<std::string, CounterState>> counters;
+  CounterMap counters;
   AsyncSpanId next_async = 1;
   std::uint64_t next_corr = 1;
   std::size_t max_records = 0;

@@ -3,6 +3,7 @@
 // 2-GPU DDP training run, and determinism across identical seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -10,7 +11,10 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/composable_system.hpp"
 #include "core/experiment.hpp"
@@ -393,6 +397,478 @@ TEST(ProfilerTrace, NoTraceOptionMeansNoProfiler) {
   const auto r =
       core::Experiment::run(SystemConfig::LocalGpus, dl::workload("MobileNetV2"), opt);
   EXPECT_EQ(r.profiler, nullptr);
+}
+
+// --- export pinned byte for byte ---
+//
+// The expected documents below are checked in verbatim. They were captured
+// from the earlier export (snprintf("%.17g") numbers, per-character
+// escaping, a full stable sort of the records, ordered-map counters), so a
+// change to the writer, the event build, the export order or the counter
+// keying that moves one byte fails here.
+
+/// A hand-built trace touching every record kind the export writes:
+/// nested track spans, overlapping async flows, deduped counters,
+/// instants, string args that need escaping, duplicate arg keys, and
+/// several tracks recording at one timestamp.
+void recordPinnedTrace(Simulator& sim, Profiler& prof) {
+  sim.setProfiler(&prof);
+  prof.beginSpan("trainer/rank0", "train", "iteration",
+                 {{"iter", 0}, {"batch", 64}});
+  prof.setCounter("link:gpu0->pcie_sw0", "util_pct", 0.0);
+  prof.setCounter("link:gpu0->pcie_sw0", "flows", 0.0);
+  sim.schedule(0.25, [&] {
+    const AsyncSpanId f1 = prof.beginAsyncSpan(
+        "fabric", "flow gpu0->gpu1", {{"bytes", 1048576}, {"corr", 7}});
+    const AsyncSpanId f2 =
+        prof.beginAsyncSpan("fabric", "flow gpu1->gpu0", {{"bytes", 3e9}});
+    prof.setCounter("link:gpu0->pcie_sw0", "util_pct", 100.0 / 3.0);
+    prof.setCounter("link:gpu0->pcie_sw0", "util_pct", 100.0 / 3.0);  // dup
+    prof.setCounter("link:gpu0->pcie_sw0", "flows", 2.0);
+    sim.schedule(0.5, [&prof, f1] { prof.endAsyncSpan(f1, {{"ok", 1}}); });
+    sim.schedule(0.75, [&prof, f2] { prof.endAsyncSpan(f2); });
+  });
+  sim.schedule(1.0 / 3.0, [&] {
+    prof.instant("fault", "link_down",
+                 {{"link", "gpu0->pcie_sw0"},
+                  {"note", "quote \" backslash \\ newline \n tab \t cr \r "
+                           "ctrl \x01\x1f end \xc2\xb5s"}});
+    prof.beginSpan("trainer/rank0", "train", "forward", {{"k", 1}, {"k", 2}});
+  });
+  sim.schedule(1.0, [&] {
+    // Same timestamp, recorded across tracks out of track-id order.
+    prof.beginSpan("comm \"ring\"", "comm", "allreduce", {{"bytes", 1e-7}});
+    prof.endSpan("trainer/rank0");  // closes "forward"
+    prof.setCounter("link:gpu1->pcie_sw0", "util_pct", 12.5);
+    prof.instant("train", "checkpoint");
+    prof.endSpan("comm \"ring\"", {{"algo", "ring"}});
+    prof.setCounter("link:gpu0->pcie_sw0", "util_pct", 2e20);
+    prof.endSpan("trainer/rank0", {{"loss", 0.1}});
+  });
+  sim.run();
+  prof.finalize();
+  sim.setProfiler(nullptr);
+}
+
+/// A capped trace: the cap drops a new span, an async flow, an instant
+/// and the first update of a new counter, whose track then never appears.
+void recordCappedTrace(Simulator& sim, Profiler& prof) {
+  sim.setProfiler(&prof);
+  prof.setMaxRecords(3);
+  prof.beginSpan("t", "c", "kept");
+  prof.setCounter("lnk", "util", 50.0);
+  prof.instant("c", "mark");
+  prof.beginSpan("t", "c", "dropped");
+  prof.setCounter("late_counter", "v", 1.0);
+  prof.beginAsyncSpan("net", "flow");
+  sim.schedule(2.0, [&] {
+    prof.setCounter("lnk", "util", 75.0);
+    prof.endSpan("t");
+    prof.endSpan("t");
+  });
+  sim.run();
+  prof.finalize();
+  sim.setProfiler(nullptr);
+}
+
+const char* const kPinnedIndented = R"json({
+  "traceEvents": [
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 0,
+      "name": "process_name",
+      "args": {
+        "name": "composim"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 0,
+      "name": "thread_name",
+      "args": {
+        "name": "trainer/rank0"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 1,
+      "name": "thread_name",
+      "args": {
+        "name": "link:gpu0->pcie_sw0"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 2,
+      "name": "thread_name",
+      "args": {
+        "name": "fabric"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 3,
+      "name": "thread_name",
+      "args": {
+        "name": "fault"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 4,
+      "name": "thread_name",
+      "args": {
+        "name": "comm \"ring\""
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 5,
+      "name": "thread_name",
+      "args": {
+        "name": "link:gpu1->pcie_sw0"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 6,
+      "name": "thread_name",
+      "args": {
+        "name": "train"
+      }
+    },
+    {
+      "ph": "B",
+      "ts": 0,
+      "pid": 1,
+      "tid": 0,
+      "name": "iteration",
+      "cat": "train",
+      "args": {
+        "iter": 0,
+        "batch": 64
+      }
+    },
+    {
+      "ph": "C",
+      "ts": 0,
+      "pid": 1,
+      "tid": 1,
+      "name": "link:gpu0->pcie_sw0",
+      "cat": "counter",
+      "args": {
+        "util_pct": 0
+      }
+    },
+    {
+      "ph": "C",
+      "ts": 0,
+      "pid": 1,
+      "tid": 1,
+      "name": "link:gpu0->pcie_sw0",
+      "cat": "counter",
+      "args": {
+        "flows": 0
+      }
+    },
+    {
+      "ph": "C",
+      "ts": 250000,
+      "pid": 1,
+      "tid": 1,
+      "name": "link:gpu0->pcie_sw0",
+      "cat": "counter",
+      "args": {
+        "util_pct": 33.333333333333336
+      }
+    },
+    {
+      "ph": "C",
+      "ts": 250000,
+      "pid": 1,
+      "tid": 1,
+      "name": "link:gpu0->pcie_sw0",
+      "cat": "counter",
+      "args": {
+        "flows": 2
+      }
+    },
+    {
+      "ph": "b",
+      "ts": 250000,
+      "pid": 1,
+      "tid": 2,
+      "name": "flow gpu0->gpu1",
+      "cat": "fabric",
+      "id": 1,
+      "args": {
+        "bytes": 1048576,
+        "corr": 7
+      }
+    },
+    {
+      "ph": "b",
+      "ts": 250000,
+      "pid": 1,
+      "tid": 2,
+      "name": "flow gpu1->gpu0",
+      "cat": "fabric",
+      "id": 2,
+      "args": {
+        "bytes": 3000000000
+      }
+    },
+    {
+      "ph": "B",
+      "ts": 333333.33333333331,
+      "pid": 1,
+      "tid": 0,
+      "name": "forward",
+      "cat": "train",
+      "args": {
+        "k": 2
+      }
+    },
+    {
+      "ph": "i",
+      "ts": 333333.33333333331,
+      "pid": 1,
+      "tid": 3,
+      "name": "link_down",
+      "cat": "fault",
+      "s": "t",
+      "args": {
+        "link": "gpu0->pcie_sw0",
+        "note": "quote \" backslash \\ newline \n tab \t cr \r ctrl \u0001\u001f end µs"
+      }
+    },
+    {
+      "ph": "e",
+      "ts": 750000,
+      "pid": 1,
+      "tid": 2,
+      "name": "flow gpu0->gpu1",
+      "cat": "fabric",
+      "id": 1,
+      "args": {
+        "ok": 1
+      }
+    },
+    {
+      "ph": "E",
+      "ts": 1000000,
+      "pid": 1,
+      "tid": 0
+    },
+    {
+      "ph": "E",
+      "ts": 1000000,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "loss": 0.10000000000000001
+      }
+    },
+    {
+      "ph": "C",
+      "ts": 1000000,
+      "pid": 1,
+      "tid": 1,
+      "name": "link:gpu0->pcie_sw0",
+      "cat": "counter",
+      "args": {
+        "util_pct": 2e+20
+      }
+    },
+    {
+      "ph": "e",
+      "ts": 1000000,
+      "pid": 1,
+      "tid": 2,
+      "name": "flow gpu1->gpu0",
+      "cat": "fabric",
+      "id": 2
+    },
+    {
+      "ph": "B",
+      "ts": 1000000,
+      "pid": 1,
+      "tid": 4,
+      "name": "allreduce",
+      "cat": "comm",
+      "args": {
+        "bytes": 9.9999999999999995e-08
+      }
+    },
+    {
+      "ph": "E",
+      "ts": 1000000,
+      "pid": 1,
+      "tid": 4,
+      "args": {
+        "algo": "ring"
+      }
+    },
+    {
+      "ph": "C",
+      "ts": 1000000,
+      "pid": 1,
+      "tid": 5,
+      "name": "link:gpu1->pcie_sw0",
+      "cat": "counter",
+      "args": {
+        "util_pct": 12.5
+      }
+    },
+    {
+      "ph": "i",
+      "ts": 1000000,
+      "pid": 1,
+      "tid": 6,
+      "name": "checkpoint",
+      "cat": "train",
+      "s": "t"
+    }
+  ],
+  "displayTimeUnit": "ms",
+  "otherData": {
+    "producer": "composim.telemetry.Profiler"
+  }
+})json";
+
+const char* const kPinnedCompact =
+    R"json({"traceEvents":[)json"
+    R"json({"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"composim"}},)json"
+    R"json({"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"trainer/rank0"}},)json"
+    R"json({"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"link:gpu0->pcie_sw0"}},)json"
+    R"json({"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"fabric"}},)json"
+    R"json({"ph":"M","pid":1,"tid":3,"name":"thread_name","args":{"name":"fault"}},)json"
+    R"json({"ph":"M","pid":1,"tid":4,"name":"thread_name","args":{"name":"comm \"ring\""}},)json"
+    R"json({"ph":"M","pid":1,"tid":5,"name":"thread_name","args":{"name":"link:gpu1->pcie_sw0"}},)json"
+    R"json({"ph":"M","pid":1,"tid":6,"name":"thread_name","args":{"name":"train"}},)json"
+    R"json({"ph":"B","ts":0,"pid":1,"tid":0,"name":"iteration","cat":"train","args":{"iter":0,"batch":64}},)json"
+    R"json({"ph":"C","ts":0,"pid":1,"tid":1,"name":"link:gpu0->pcie_sw0","cat":"counter","args":{"util_pct":0}},)json"
+    R"json({"ph":"C","ts":0,"pid":1,"tid":1,"name":"link:gpu0->pcie_sw0","cat":"counter","args":{"flows":0}},)json"
+    R"json({"ph":"C","ts":250000,"pid":1,"tid":1,"name":"link:gpu0->pcie_sw0","cat":"counter","args":{"util_pct":33.333333333333336}},)json"
+    R"json({"ph":"C","ts":250000,"pid":1,"tid":1,"name":"link:gpu0->pcie_sw0","cat":"counter","args":{"flows":2}},)json"
+    R"json({"ph":"b","ts":250000,"pid":1,"tid":2,"name":"flow gpu0->gpu1","cat":"fabric","id":1,"args":{"bytes":1048576,"corr":7}},)json"
+    R"json({"ph":"b","ts":250000,"pid":1,"tid":2,"name":"flow gpu1->gpu0","cat":"fabric","id":2,"args":{"bytes":3000000000}},)json"
+    R"json({"ph":"B","ts":333333.33333333331,"pid":1,"tid":0,"name":"forward","cat":"train","args":{"k":2}},)json"
+    R"json({"ph":"i","ts":333333.33333333331,"pid":1,"tid":3,"name":"link_down","cat":"fault","s":"t","args":{"link":"gpu0->pcie_sw0","note":"quote \" backslash \\ newline \n tab \t cr \r ctrl \u0001\u001f end µs"}},)json"
+    R"json({"ph":"e","ts":750000,"pid":1,"tid":2,"name":"flow gpu0->gpu1","cat":"fabric","id":1,"args":{"ok":1}},)json"
+    R"json({"ph":"E","ts":1000000,"pid":1,"tid":0},)json"
+    R"json({"ph":"E","ts":1000000,"pid":1,"tid":0,"args":{"loss":0.10000000000000001}},)json"
+    R"json({"ph":"C","ts":1000000,"pid":1,"tid":1,"name":"link:gpu0->pcie_sw0","cat":"counter","args":{"util_pct":2e+20}},)json"
+    R"json({"ph":"e","ts":1000000,"pid":1,"tid":2,"name":"flow gpu1->gpu0","cat":"fabric","id":2},)json"
+    R"json({"ph":"B","ts":1000000,"pid":1,"tid":4,"name":"allreduce","cat":"comm","args":{"bytes":9.9999999999999995e-08}},)json"
+    R"json({"ph":"E","ts":1000000,"pid":1,"tid":4,"args":{"algo":"ring"}},)json"
+    R"json({"ph":"C","ts":1000000,"pid":1,"tid":5,"name":"link:gpu1->pcie_sw0","cat":"counter","args":{"util_pct":12.5}},)json"
+    R"json({"ph":"i","ts":1000000,"pid":1,"tid":6,"name":"checkpoint","cat":"train","s":"t"})json"
+    R"json(],"displayTimeUnit":"ms","otherData":{"producer":"composim.telemetry.Profiler"}})json";
+
+const char* const kCappedCompact =
+    R"json({"traceEvents":[)json"
+    R"json({"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"composim"}},)json"
+    R"json({"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"t"}},)json"
+    R"json({"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"lnk"}},)json"
+    R"json({"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"c"}},)json"
+    R"json({"ph":"B","ts":0,"pid":1,"tid":0,"name":"kept","cat":"c"},)json"
+    R"json({"ph":"C","ts":0,"pid":1,"tid":1,"name":"lnk","cat":"counter","args":{"util":50}},)json"
+    R"json({"ph":"i","ts":0,"pid":1,"tid":2,"name":"mark","cat":"c","s":"t"},)json"
+    R"json({"ph":"E","ts":2000000,"pid":1,"tid":0})json"
+    R"json(],"displayTimeUnit":"ms","otherData":{"producer":"composim.telemetry.Profiler","max_records":3,"dropped_records":5}})json";
+
+TEST(ProfilerExport, PinnedTraceMatchesCapturedTextByteForByte) {
+  Simulator sim;
+  Profiler prof(sim);
+  recordPinnedTrace(sim, prof);
+  const falcon::Json doc = prof.chromeTrace();
+  EXPECT_EQ(doc.dump(2), kPinnedIndented);
+  EXPECT_EQ(doc.dump(-1), kPinnedCompact);
+}
+
+TEST(ProfilerExport, CappedTraceMatchesCapturedTextByteForByte) {
+  Simulator sim;
+  Profiler prof(sim);
+  recordCappedTrace(sim, prof);
+  EXPECT_EQ(prof.chromeTrace().dump(-1), kCappedCompact);
+  // The counter whose every update was capped still integrates, but owns
+  // no trace row.
+  EXPECT_TRUE(prof.hasCounter("late_counter", "v"));
+  EXPECT_DOUBLE_EQ(prof.counterValue("late_counter", "v"), 1.0);
+  EXPECT_DOUBLE_EQ(prof.counterMean("lnk", "util"), 50.0);
+  for (const std::string& track : prof.trackNames()) {
+    EXPECT_NE(track, "late_counter");
+  }
+}
+
+TEST(ProfilerExport, ExportOrderMatchesFullStableSort) {
+  const TraceRun run = runTinyDdp(true);
+  const auto& recs = run.profiler->records();
+  std::vector<std::size_t> want(recs.size());
+  for (std::size_t i = 0; i < want.size(); ++i) want[i] = i;
+  std::stable_sort(want.begin(), want.end(), [&](std::size_t a, std::size_t b) {
+    if (recs[a].time != recs[b].time) return recs[a].time < recs[b].time;
+    if (recs[a].tid != recs[b].tid) return recs[a].tid < recs[b].tid;
+    return a < b;
+  });
+  EXPECT_EQ(run.profiler->exportOrder(), want);
+}
+
+TEST(ProfilerExport, ExportRejectsRecordsOutOfTimeOrder) {
+  Simulator sim;
+  Profiler prof(sim);
+  sim.setProfiler(&prof);
+  prof.instant("c", "first");
+  sim.schedule(1.0, [&] { prof.instant("c", "second"); });
+  sim.run();
+  EXPECT_EQ(prof.exportOrder().size(), 2u);
+
+  // Records only ever append at the monotone sim clock; a state that
+  // breaks that precondition is refused instead of exported misordered.
+  Profiler::State st = prof.state();
+  std::swap(st.records[0].time, st.records[1].time);
+  Profiler broken(sim);
+  broken.setState(st);
+  EXPECT_THROW(broken.exportOrder(), std::logic_error);
+  EXPECT_THROW(broken.chromeTrace(), std::logic_error);
+}
+
+TEST(ProfilerExport, CounterStateForksWithTheTrace) {
+  Simulator sim;
+  Profiler prof(sim);
+  sim.setProfiler(&prof);
+  prof.setCounter("link", "util", 40.0);
+  prof.setCounter("link", "flows", 1.0);
+  sim.schedule(1.0, [&] { prof.setCounter("link", "util", 80.0); });
+  sim.run();
+
+  Simulator sim2;
+  sim2.setState(sim.state());
+  Profiler fork(sim2);
+  fork.setState(prof.state());
+  sim2.setProfiler(&fork);
+  const std::size_t n = fork.recordCount();
+  fork.setCounter("link", "util", 80.0);  // unchanged in the fork: deduped
+  EXPECT_EQ(fork.recordCount(), n);
+  sim2.schedule(1.0, [&] { fork.setCounter("link", "util", 0.0); });
+  sim2.run();
+  EXPECT_EQ(fork.recordCount(), n + 1);
+  // 40 for 1 s, 80 for 1 s -> mean 60 at t = 2; the original is untouched.
+  EXPECT_DOUBLE_EQ(fork.counterMean("link", "util"), 60.0);
+  EXPECT_DOUBLE_EQ(fork.counterValue("link", "flows"), 1.0);
+  EXPECT_DOUBLE_EQ(prof.counterValue("link", "util"), 80.0);
+  // The fork reuses the counter's track instead of registering a new one.
+  EXPECT_EQ(fork.records().back().tid, prof.records()[0].tid);
+  EXPECT_EQ(fork.trackNames(), prof.trackNames());
 }
 
 }  // namespace
